@@ -4,6 +4,7 @@
 // (data + trained models), runs encrypted evaluation on a backend, and
 // renders rows in the paper's format.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -11,6 +12,7 @@
 #include "common/cli.hpp"
 #include "common/fault.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "core/pipeline.hpp"
 
@@ -26,11 +28,9 @@ inline void print_header(const char* table_name, const ExperimentConfig& cfg) {
     std::printf("math kernels: %s (override with --force-isa)\n",
                 cfg.isa.c_str());
   }
-  std::printf(
-      "latency columns: Lat = measured sequential eval wall-clock on this "
-      "1-core host;\nLat-par = ideal critical-path latency with %zu workers "
-      "(ParallelSim, DESIGN.md §3)\n\n",
-      cfg.workers);
+  std::printf("latency columns: Lat = measured eval wall-clock on a "
+              "%zu-thread pool\n\n",
+              std::max<std::size_t>(1, ThreadPool::global().size()));
   if (!cfg.trace_out.empty()) {
     trace::set_enabled(true);
     std::printf("[trace] recording homomorphic-op spans -> %s\n\n",
@@ -61,14 +61,13 @@ struct Row {
 
 inline void print_rows(const std::vector<Row>& rows) {
   TextTable table({"Model", "Training Acc (%)", "Lat min", "Lat max",
-                   "Lat avg", "Lat-par avg", "Acc (%)", "HE=plain (%)",
+                   "Lat avg", "Acc (%)", "HE=plain (%)",
                    "max logit err"});
   for (const auto& row : rows) {
     table.add_row({row.model_name, TextTable::fixed(row.train_acc, 3),
                    TextTable::fixed(row.eval.eval_latency.min(), 2),
                    TextTable::fixed(row.eval.eval_latency.max(), 2),
                    TextTable::fixed(row.eval.eval_latency.avg(), 2),
-                   TextTable::fixed(row.eval.parallel_latency.avg(), 2),
                    TextTable::fixed(row.eval.spec_accuracy, 2),
                    TextTable::fixed(row.eval.match_rate, 1),
                    TextTable::fixed(row.eval.max_logit_err, 4)});
@@ -77,14 +76,10 @@ inline void print_rows(const std::vector<Row>& rows) {
 }
 
 inline void print_speedup(const Row& baseline, const Row& rns) {
-  const double seq = 100.0 * (1.0 - rns.eval.eval_latency.avg() /
-                                        baseline.eval.eval_latency.avg());
-  const double par = 100.0 * (1.0 - rns.eval.parallel_latency.avg() /
-                                        baseline.eval.eval_latency.avg());
-  std::printf(
-      "\nspeed-up of %s over %s: %.2f%% (sequential), %.2f%% "
-      "(critical-path)\n",
-      rns.model_name.c_str(), baseline.model_name.c_str(), seq, par);
+  const double gain = 100.0 * (1.0 - rns.eval.eval_latency.avg() /
+                                         baseline.eval.eval_latency.avg());
+  std::printf("\nspeed-up of %s over %s: %.2f%%\n", rns.model_name.c_str(),
+              baseline.model_name.c_str(), gain);
 }
 
 }  // namespace pphe::benchutil

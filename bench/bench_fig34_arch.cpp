@@ -48,5 +48,5 @@ int main(int argc, char** argv) {
   auto backend = make_backend("rns", cfg.ckks_params());
   report(exp, Arch::kCnn1, *backend);
   report(exp, Arch::kCnn2, *backend);
-  return 0;
+  return finish_trace(cfg) ? 0 : 1;
 }

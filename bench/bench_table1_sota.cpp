@@ -77,5 +77,5 @@ int main(int argc, char** argv) {
       "rows are measured in this build. The paper's headline — SLAF-RNS beats\n"
       "the CryptoNets-style square baseline at equal-or-better accuracy —\n"
       "should be visible in the measured rows.\n");
-  return 0;
+  return finish_trace(cfg) ? 0 : 1;
 }

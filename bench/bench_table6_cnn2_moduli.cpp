@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
   const auto k_max = static_cast<std::size_t>(flags.get_int("k-max", 10));
   const bool skip_big = flags.get_bool("skip-big", false);
 
-  TextTable table({"Moduli chain length", "Lat (s)", "Lat-par (s)",
-                   "HE=plain (%)", "paper Lat (s)"});
+  TextTable table(
+      {"Moduli chain length", "Lat (s)", "HE=plain (%)", "paper Lat (s)"});
   const char* paper[] = {"",      "39.91", "",      "23.67", "23.39", "23.12",
                          "22.76", "22.54", "22.49", "22.46", "22.51"};
 
@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
     const EncryptedEvalResult result =
         run_encrypted_eval(*backend, spec, options, exp.test_set(), cfg);
     table.add_row({"1 (non-RNS)", TextTable::fixed(result.eval_latency.avg(), 2),
-                   TextTable::fixed(result.parallel_latency.avg(), 2),
                    TextTable::fixed(result.match_rate, 1), paper[1]});
     std::printf("k=1 (multiprecision) done (avg %.2f s)\n",
                 result.eval_latency.avg());
@@ -54,11 +53,10 @@ int main(int argc, char** argv) {
         run_encrypted_eval(*backend, spec, options, exp.test_set(), cfg);
     table.add_row({std::to_string(k),
                    TextTable::fixed(result.eval_latency.avg(), 2),
-                   TextTable::fixed(result.parallel_latency.avg(), 2),
                    TextTable::fixed(result.match_rate, 1),
                    k <= 10 ? paper[k] : ""});
     std::printf("k=%zu done (avg %.2f s)\n", k, result.eval_latency.avg());
   }
   std::printf("\n%s", table.render().c_str());
-  return 0;
+  return finish_trace(cfg) ? 0 : 1;
 }

@@ -1,12 +1,11 @@
 // Encrypted OCR batch: classify several encrypted digits with CNN1-HE-RNS,
-// print an ASCII rendering of each input next to the encrypted prediction,
-// and compare sequential vs critical-path latency — the workload of the
-// paper's §VI evaluation, visualized.
+// print an ASCII rendering of each input next to the encrypted prediction
+// and its measured evaluation latency — the workload of the paper's §VI
+// evaluation, visualized.
 
 #include <algorithm>
 #include <cstdio>
 
-#include "common/parallel_sim.hpp"
 #include "core/pipeline.hpp"
 
 using namespace pphe;
@@ -46,14 +45,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < count; ++i) {
     const float* img = exp.test_set().images.data() + i * 784;
     render(img);
-    ParallelSim::global().reset();
     const InferenceResult r =
         he_model.infer(std::vector<float>(img, img + 784));
-    const double par = ParallelSim::global().simulate(cfg.workers);
-    std::printf("encrypted prediction: %d (label %d) — %.2f s sequential, "
-                "%.2f s critical path @%zu workers\n\n",
-                r.predicted, exp.test_set().labels[i], r.eval_seconds, par,
-                cfg.workers);
+    std::printf("encrypted prediction: %d (label %d) — %.2f s eval\n\n",
+                r.predicted, exp.test_set().labels[i], r.eval_seconds);
     if (r.predicted == exp.test_set().labels[i]) ++correct;
   }
   std::printf("encrypted accuracy on this batch: %zu/%zu "

@@ -32,8 +32,8 @@ if [ "$QUICK" -eq 1 ]; then
   fi
 else
   BENCHES=(bench_table2_params bench_sec3c_errors bench_fig2_rns \
-           bench_fig34_arch bench_fig1_pipeline bench_batch_throughput \
-           bench_serving bench_table3_cnn1 bench_table4_cnn1_moduli \
+           bench_fig34_arch bench_fig1_pipeline bench_serving \
+           bench_table3_cnn1 bench_table4_cnn1_moduli \
            bench_fig5_parallel bench_table5_cnn2 bench_table6_cnn2_moduli \
            bench_table1_sota bench_micro_primitives)
 fi
@@ -73,8 +73,9 @@ if [ "$QUICK" -eq 1 ]; then
   # guarded eval path (input validation + noise-budget projection) must add
   # <2% over the unguarded path. The assertion is an in-process interleaved
   # A/B (tests/core/guard_overhead_test.cpp, min over repetitions) because
-  # cross-run wall-clock diffs on a shared 1-core host swing by ~20% from
-  # load alone; tune with OVERHEAD_TOLERANCE_PCT (default 2 here).
+  # cross-run wall-clock diffs on a shared 4-vCPU VM swing by ~20% from
+  # hypervisor steal alone (perfbench/README.md, "Host noise"); tune with
+  # OVERHEAD_TOLERANCE_PCT (default 2 here).
   echo "==================================================================="
   echo "=== guard overhead gate (faults compiled in, disarmed)"
   echo "==================================================================="
@@ -256,8 +257,9 @@ except (OSError, ValueError) as e:
     print(f"SIMD NTT gate skipped: cannot read BENCH_micro.json ({e})")
     raise SystemExit(0)
 isa = d.get("context", {}).get("isa_dispatched", "unknown")
-# cpu_time, not real_time: the 1-core host gets scheduled out under load
-# and real_time charges that to whichever row was running.
+# cpu_time, not real_time: on a shared 4-vCPU VM the hypervisor steals vCPU
+# time under load (perfbench/README.md, "Host noise") and real_time charges
+# that to whichever row was running.
 rows = {b.get("name"): (b.get("cpu_time") or b.get("real_time"))
         for b in d.get("benchmarks", [])
         if b.get("run_type", "iteration") == "iteration"}
@@ -298,7 +300,7 @@ try:
 except (OSError, ValueError) as e:
     print(f"hoisted BSGS gate skipped: cannot read BENCH_micro.json ({e})")
     raise SystemExit(0)
-# cpu_time, not real_time: same 1-core scheduling caveat as the NTT gate.
+# cpu_time, not real_time: same hypervisor-steal caveat as the NTT gate.
 rows = {b.get("name"): (b.get("cpu_time") or b.get("real_time"))
         for b in d.get("benchmarks", [])
         if b.get("run_type", "iteration") == "iteration"}

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/parallel_sim.hpp"
-#include "common/stats.hpp"
 #include "math/primes.hpp"
 #include "math/sampling.hpp"
 
@@ -141,17 +139,13 @@ BigPoly BigBackend::zero_poly(int level, bool ntt_form) const {
 
 void BigBackend::to_ntt(BigPoly& p) const {
   if (p.ntt) return;
-  Stopwatch sw;
   ntt(p.level).forward(p.coeffs);
-  ParallelSim::global().record_serial(sw.seconds());
   p.ntt = true;
 }
 
 void BigBackend::to_coeff(BigPoly& p) const {
   if (!p.ntt) return;
-  Stopwatch sw;
   ntt(p.level).inverse(p.coeffs);
-  ParallelSim::global().record_serial(sw.seconds());
   p.ntt = false;
 }
 
@@ -215,12 +209,10 @@ BigPoly BigBackend::automorphism(const BigPoly& p,
 void BigBackend::add_inplace(BigPoly& a, const BigPoly& b) const {
   PPHE_CHECK(a.ntt == b.ntt && a.level == b.level,
              "poly mismatch in BigBackend add");
-  Stopwatch sw;
   const BigBarrett& bar = barrett(a.level);
   for (std::size_t i = 0; i < a.coeffs.size(); ++i) {
     a.coeffs[i] = bar.addmod(a.coeffs[i], b.coeffs[i]);
   }
-  ParallelSim::global().record_serial(sw.seconds());
 }
 
 void BigBackend::negate_inplace(BigPoly& a) const {
@@ -231,13 +223,11 @@ void BigBackend::negate_inplace(BigPoly& a) const {
 BigPoly BigBackend::pointwise(const BigPoly& a, const BigPoly& b) const {
   PPHE_CHECK(a.ntt && b.ntt && a.level == b.level,
              "pointwise product expects NTT form at the same level");
-  Stopwatch sw;
   const BigBarrett& bar = barrett(a.level);
   BigPoly out = zero_poly(a.level, true);
   for (std::size_t i = 0; i < a.coeffs.size(); ++i) {
     out.coeffs[i] = bar.mulmod(a.coeffs[i], b.coeffs[i]);
   }
-  ParallelSim::global().record_serial(sw.seconds());
   return out;
 }
 
@@ -292,9 +282,7 @@ void BigBackend::generate_keys() {
   }
   const BigUInt aux = q_ladder_[top] * p_modulus_;
   auto s2_aux = lift_signed_mod(s2, aux);
-  Stopwatch sw;
   ntt_aux(top).forward(s2_aux);
-  ParallelSim::global().record_serial(sw.seconds());
   relin_key_ = make_ksw_key(s2_aux);
 }
 
@@ -368,7 +356,6 @@ PooledVec<BigUInt> BigBackend::ksw_decompose(const BigPoly& d) const {
   const BigUInt& q_l = q_ladder_[level];
   const BigUInt half_q = q_l >> 1;
 
-  Stopwatch sw;
   // Centered lift of d from Q_level to Q_level*P: residues above Q_level/2
   // represent negative values and must stay small in the wider ring.
   // Scratch buffers cycle through the backend's pool (every element is
@@ -380,7 +367,6 @@ PooledVec<BigUInt> BigBackend::ksw_decompose(const BigPoly& d) const {
         d.coeffs[i] > half_q ? d.coeffs[i] + lift_offset : d.coeffs[i];
   }
   transform.forward(lifted);
-  ParallelSim::global().record_serial(sw.seconds());
   return lifted;
 }
 
@@ -400,12 +386,10 @@ void BigBackend::ksw_inner_prod(const PooledVec<BigUInt>& digit,
   const std::size_t n = params_.degree;
   const BigBarrett& bar = barrett_aux(acc.level);
   const KswKey& k = key_at_level(key, acc.level);
-  Stopwatch sw;
   for (std::size_t i = 0; i < n; ++i) {
     acc.c0[i] = bar.addmod(acc.c0[i], bar.mulmod(digit[i], k.b.coeffs[i]));
     acc.c1[i] = bar.addmod(acc.c1[i], bar.mulmod(digit[i], k.a.coeffs[i]));
   }
-  ParallelSim::global().record_serial(sw.seconds());
 }
 
 std::pair<BigPoly, BigPoly> BigBackend::ksw_mod_down(BigExt acc) const {
@@ -414,7 +398,6 @@ std::pair<BigPoly, BigPoly> BigBackend::ksw_mod_down(BigExt acc) const {
   const int level = acc.level;
   const std::size_t n = params_.degree;
   const BigNtt& transform = ntt_aux(level);
-  Stopwatch sw;
   transform.inverse(acc.c0);
   transform.inverse(acc.c1);
 
@@ -433,7 +416,6 @@ std::pair<BigPoly, BigPoly> BigBackend::ksw_mod_down(BigExt acc) const {
       dst.coeffs[i] = bar_q.mulmod(x_mod_q, inv_p_mod_q_[level]);
     }
   }
-  ParallelSim::global().record_serial(sw.seconds());
   return out;
 }
 
@@ -677,7 +659,6 @@ Ciphertext BigBackend::rescale(const Ciphertext& a) const {
   const BigBarrett& bar_next = barrett(level - 1);
   const BigUInt& inv = inv_qlast_mod_q_[level];
 
-  Stopwatch sw;
   std::vector<BigPoly> polys;
   polys.reserve(ba.polys.size());
   for (const auto& src_poly : ba.polys) {
@@ -694,7 +675,6 @@ Ciphertext BigBackend::rescale(const Ciphertext& a) const {
     to_ntt(out);
     polys.push_back(std::move(out));
   }
-  ParallelSim::global().record_serial(sw.seconds());
   const double new_scale = a.scale() / static_cast<double>(q_last);
   return wrap(std::move(polys), new_scale, level - 1);
 }

@@ -45,8 +45,8 @@ struct BigPtBody {
 ///
 /// Every butterfly and pointwise product here is a multiprecision Barrett
 /// mulmod — the per-operation cost that Fig. 2's RNS decomposition removes.
-/// Nothing in this backend is channel-parallelizable, so ParallelSim counts
-/// it as serial time.
+/// Nothing in this backend is channel-parallelizable, so it runs on the
+/// calling thread.
 class BigBackend final : public HeBackend {
  public:
   explicit BigBackend(const CkksParams& params);

@@ -5,23 +5,12 @@
 
 #include "ckks/serialize.hpp"
 #include "common/check.hpp"
-#include "common/parallel_sim.hpp"
-#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "math/primes.hpp"
 #include "math/sampling.hpp"
 
 namespace pphe {
 namespace {
-
-/// Runs fn(c) for every channel through the global pool and records the
-/// section in ParallelSim (fan-out = channel count): residue channels are
-/// the independent work units of the RNS representation.
-void parallel_channels(std::size_t k, const std::function<void(std::size_t)>& fn) {
-  Stopwatch sw;
-  ThreadPool::global().parallel_for(k, fn);
-  ParallelSim::global().record_parallel(k, sw.seconds());
-}
 
 double relative_diff(double a, double b) {
   const double m = std::max(std::abs(a), std::abs(b));
@@ -122,8 +111,8 @@ void RnsBackend::to_ntt(RnsPoly& p) const {
   if (p.ntt) return;
   OpScope op(*this, OpKind::kNttForward);
   op.attr("channels", static_cast<double>(p.channels()));
-  parallel_channels(p.channels(),
-                    [&](std::size_t c) { ntt_for(p, c).forward(p.ch(c)); });
+  ThreadPool::global().parallel_for(
+      p.channels(), [&](std::size_t c) { ntt_for(p, c).forward(p.ch(c)); });
   p.ntt = true;
 }
 
@@ -131,8 +120,8 @@ void RnsBackend::to_coeff(RnsPoly& p) const {
   if (!p.ntt) return;
   OpScope op(*this, OpKind::kNttInverse);
   op.attr("channels", static_cast<double>(p.channels()));
-  parallel_channels(p.channels(),
-                    [&](std::size_t c) { ntt_for(p, c).inverse(p.ch(c)); });
+  ThreadPool::global().parallel_for(
+      p.channels(), [&](std::size_t c) { ntt_for(p, c).inverse(p.ch(c)); });
   p.ntt = false;
 }
 
@@ -140,7 +129,7 @@ RnsPoly RnsBackend::lift_signed(std::span<const std::int64_t> coeffs,
                                 int level, bool with_special) const {
   PPHE_CHECK(coeffs.size() == params_.degree, "coefficient count mismatch");
   RnsPoly p = zero_poly(level, with_special, /*ntt=*/false);
-  parallel_channels(p.channels(), [&](std::size_t c) {
+  ThreadPool::global().parallel_for(p.channels(), [&](std::size_t c) {
     const Modulus& mod = mod_for(p, c);
     auto dst = p.ch(c);
     for (std::size_t i = 0; i < coeffs.size(); ++i) {
@@ -173,7 +162,7 @@ RnsPoly RnsBackend::automorphism(const RnsPoly& p,
   out.buf = PolyBuffer(pool_, p.channels(), n, /*zero_fill=*/false);
   out.ntt = p.ntt;
   out.has_special = p.has_special;
-  parallel_channels(p.channels(), [&](std::size_t c) {
+  ThreadPool::global().parallel_for(p.channels(), [&](std::size_t c) {
     const Modulus& mod = mod_for(p, c);
     const auto src = p.ch(c);
     auto dst = out.ch(c);
@@ -193,7 +182,7 @@ void RnsBackend::add_inplace(RnsPoly& a, const RnsPoly& b) const {
   PPHE_CHECK(a.ntt == b.ntt, "representation mismatch in add");
   const std::size_t k = std::min(a.channels(), b.channels());
   check_channel_compat(a, b, k);
-  parallel_channels(k, [&](std::size_t c) {
+  ThreadPool::global().parallel_for(k, [&](std::size_t c) {
     dyadic::add(a.ch(c), b.ch(c), a.ch(c), mod_for(a, c));
   });
 }
@@ -202,13 +191,13 @@ void RnsBackend::sub_inplace(RnsPoly& a, const RnsPoly& b) const {
   PPHE_CHECK(a.ntt == b.ntt, "representation mismatch in sub");
   const std::size_t k = std::min(a.channels(), b.channels());
   check_channel_compat(a, b, k);
-  parallel_channels(k, [&](std::size_t c) {
+  ThreadPool::global().parallel_for(k, [&](std::size_t c) {
     dyadic::sub(a.ch(c), b.ch(c), a.ch(c), mod_for(a, c));
   });
 }
 
 void RnsBackend::negate_inplace(RnsPoly& a) const {
-  parallel_channels(a.channels(), [&](std::size_t c) {
+  ThreadPool::global().parallel_for(a.channels(), [&](std::size_t c) {
     dyadic::neg(a.ch(c), a.ch(c), mod_for(a, c));
   });
 }
@@ -217,7 +206,7 @@ void RnsBackend::pointwise_inplace(RnsPoly& a, const RnsPoly& b) const {
   PPHE_CHECK(a.ntt && b.ntt, "pointwise product expects NTT form");
   const std::size_t k = std::min(a.channels(), b.channels());
   check_channel_compat(a, b, k);
-  parallel_channels(k, [&](std::size_t c) {
+  ThreadPool::global().parallel_for(k, [&](std::size_t c) {
     dyadic::mul(a.ch(c), b.ch(c), a.ch(c), mod_for(a, c));
   });
 }
@@ -233,7 +222,7 @@ RnsPoly RnsBackend::pointwise(const RnsPoly& a, const RnsPoly& b) const {
   out.ntt = true;
   out.has_special = a.has_special && k == a.channels();
   check_channel_compat(out, b, k);
-  parallel_channels(k, [&](std::size_t c) {
+  ThreadPool::global().parallel_for(k, [&](std::size_t c) {
     dyadic::mul(a.ch(c), b.ch(c), out.ch(c), mod_for(out, c));
   });
   return out;
@@ -261,7 +250,7 @@ RnsPoly RnsBackend::pointwise_shoup(const RnsPoly& w, const PolyBuffer& wq,
   out.ntt = true;
   out.has_special = w.has_special && k == w.channels();
   check_channel_compat(out, b, k);
-  parallel_channels(k, [&](std::size_t c) {
+  ThreadPool::global().parallel_for(k, [&](std::size_t c) {
     dyadic::mul_shoup(b.ch(c), w.ch(c), wq[c], out.ch(c), mod_for(out, c));
   });
   return out;
@@ -357,7 +346,6 @@ RnsBackend::KswDigits RnsBackend::ksw_decompose(const RnsPoly& d,
   trace::Span span("ksw_decompose", "kernel");
   span.attr("digits", static_cast<double>(q_channels));
   const std::size_t channels = out.channels;
-  Stopwatch sw;
   for (std::size_t j = 0; j < q_channels; ++j) {
     const auto digit = d.ch(j);
     ThreadPool::global().parallel_for(channels, [&](std::size_t c) {
@@ -373,7 +361,6 @@ RnsBackend::KswDigits RnsBackend::ksw_decompose(const RnsPoly& d,
       ntt.forward(lift);
     });
   }
-  ParallelSim::global().record_parallel(q_channels * channels, sw.seconds());
   return out;
 }
 
@@ -407,7 +394,6 @@ void RnsBackend::ksw_inner_prod(const KswDigits& digits, const KswKey& key,
   if (perm != nullptr) {
     scratch = PolyBuffer(pool_, channels, n, /*zero_fill=*/false);
   }
-  Stopwatch sw;
   ThreadPool::global().parallel_for(channels, [&](std::size_t c) {
     const bool is_special = c == channels - 1;
     const Modulus& mod = is_special ? special_ : q_moduli_[c];
@@ -429,7 +415,6 @@ void RnsBackend::ksw_inner_prod(const KswDigits& digits, const KswKey& key,
       dyadic::mul_acc_shoup(dj, ka, kaq, a1, mod);
     }
   });
-  ParallelSim::global().record_parallel(channels, sw.seconds());
 }
 
 std::pair<RnsPoly, RnsPoly> RnsBackend::ksw_mod_down(
@@ -454,7 +439,7 @@ std::pair<RnsPoly, RnsPoly> RnsBackend::ksw_mod_down(
     // r' = (acc + p/2) mod p, taken from the special channel.
     auto rp = a.ch(channels - 1);
     for (auto& v : rp) v = special_.add(v, half_p);
-    parallel_channels(q_channels, [&](std::size_t c) {
+    ThreadPool::global().parallel_for(q_channels, [&](std::size_t c) {
       const Modulus& mod = q_moduli_[c];
       const std::uint64_t half_mod = mod.reduce(half_p);
       const std::uint64_t inv_p = inv_p_mod_q_[c];
@@ -744,7 +729,7 @@ Ciphertext RnsBackend::rescale(const Ciphertext& a) const {
     auto rl = p.ch(l);
     for (auto& v : rl) v = q_last.add(v, half);
     RnsPoly out = zero_poly(a.level() - 1, false, false);
-    parallel_channels(l, [&](std::size_t c) {
+    ThreadPool::global().parallel_for(l, [&](std::size_t c) {
       const Modulus& mod = q_moduli_[c];
       const std::uint64_t half_mod = mod.reduce(half);
       const std::uint64_t inv = inv_q_mod_q_[l][c];
@@ -903,7 +888,7 @@ std::vector<Ciphertext> RnsBackend::rotate_batch(
     to_ntt(out0);
     to_ntt(out1);
     // Add sigma(c0), applied directly in the NTT domain via the permutation.
-    parallel_channels(q_channels, [&](std::size_t c) {
+    ThreadPool::global().parallel_for(q_channels, [&](std::size_t c) {
       const Modulus& mod = q_moduli_[c];
       const auto src = ba.polys[0].ch(c);
       auto dst = out0.ch(c);
@@ -969,7 +954,7 @@ Ciphertext RnsBackend::rotate_sum(std::span<const Ciphertext> cts,
     ksw_inner_prod(digits, *key_ptr, perm.data(), ext);
     used_ext = true;
     // sigma(c0) added in the NTT domain via the permutation.
-    parallel_channels(q_channels, [&](std::size_t c) {
+    ThreadPool::global().parallel_for(q_channels, [&](std::size_t c) {
       const Modulus& mod = q_moduli_[c];
       const auto src = bc.polys[0].ch(c);
       auto dst = sum0.ch(c);
@@ -1083,7 +1068,7 @@ Ciphertext RnsBackend::linear_bsgs(const Ciphertext& x,
       }
       RnsPoly& s1 = g_s1[g];
       RnsPoly& s0 = g_s0[g];
-      parallel_channels(q_channels, [&](std::size_t c) {
+      ThreadPool::global().parallel_for(q_channels, [&](std::size_t c) {
         const Modulus& mod = q_moduli_[c];
         const auto wc = w.poly.ch(c);
         dyadic::mul_acc_shoup(bx.polys[0].ch(c), wc, wq[c], s0.ch(c), mod);
@@ -1122,7 +1107,7 @@ Ciphertext RnsBackend::linear_bsgs(const Ciphertext& x,
     ExtAccumulator ip = ext_zero(level);
     ksw_inner_prod(digits, *key_ptr, perm.data(), ip);
     RnsPoly rc0 = zero_poly(level, /*with_special=*/false, /*ntt=*/true);
-    parallel_channels(q_channels, [&](std::size_t c) {
+    ThreadPool::global().parallel_for(q_channels, [&](std::size_t c) {
       const auto src = bx.polys[0].ch(c);
       auto dst = rc0.ch(c);
       for (std::size_t i = 0; i < n; ++i) dst[i] = src[perm[i]];
@@ -1133,7 +1118,7 @@ Ciphertext RnsBackend::linear_bsgs(const Ciphertext& x,
       const PolyBuffer& wq = pt_shoup(w);
       ExtAccumulator& ext = ext_of(g);
       RnsPoly& s0 = g_s0[g];
-      parallel_channels(channels, [&](std::size_t c) {
+      ThreadPool::global().parallel_for(channels, [&](std::size_t c) {
         const bool is_special = c == channels - 1;
         const Modulus& mod = is_special ? special_ : q_moduli_[c];
         const std::size_t wr = w_row(w, c);
@@ -1191,7 +1176,7 @@ Ciphertext RnsBackend::linear_bsgs(const Ciphertext& x,
     // permutation straight into the layer output.
     to_ntt(md0);
     add_inplace(md0, s0);
-    parallel_channels(q_channels, [&](std::size_t c) {
+    ThreadPool::global().parallel_for(q_channels, [&](std::size_t c) {
       const Modulus& mod = q_moduli_[c];
       const auto src = md0.ch(c);
       auto dst = out0.ch(c);
@@ -1231,7 +1216,6 @@ void RnsBackend::multiply_acc(Ciphertext& acc, const Ciphertext& a,
       const_cast<void*>(static_cast<const void*>(acc.impl().get())));
   PPHE_CHECK(bacc.polys.size() == 3, "accumulator must be a size-3 product");
   const std::size_t k = bacc.polys[0].channels();
-  Stopwatch sw;
   ThreadPool::global().parallel_for(k, [&](std::size_t c) {
     const Modulus& mod = q_moduli_[c];
     const auto a0 = ba.polys[0].ch(c);
@@ -1253,7 +1237,6 @@ void RnsBackend::multiply_acc(Ciphertext& acc, const Ciphertext& a,
           static_cast<unsigned __int128>(a1[i]) * b1[i] + d2[i]);
     }
   });
-  ParallelSim::global().record_parallel(k, sw.seconds());
 }
 
 void RnsBackend::multiply_plain_acc(Ciphertext& acc, const Ciphertext& a,
@@ -1272,7 +1255,6 @@ void RnsBackend::multiply_plain_acc(Ciphertext& acc, const Ciphertext& a,
   auto& bacc = *static_cast<RnsCtBody*>(
       const_cast<void*>(static_cast<const void*>(acc.impl().get())));
   const std::size_t k = bacc.polys[0].channels();
-  Stopwatch sw;
   ThreadPool::global().parallel_for(k, [&](std::size_t c) {
     const Modulus& mod = q_moduli_[c];
     const auto w = pt.ch(c);
@@ -1281,7 +1263,6 @@ void RnsBackend::multiply_plain_acc(Ciphertext& acc, const Ciphertext& a,
                             mod);
     }
   });
-  ParallelSim::global().record_parallel(k, sw.seconds());
 }
 
 Ciphertext RnsBackend::rotate(const Ciphertext& a, int step) const {

@@ -53,7 +53,7 @@ struct RnsPtBody {
 ///
 /// Residue channels are independent, which is the parallelism the paper's
 /// CNN-HE-RNS models exploit; channel loops run through the global thread
-/// pool and are reported to ParallelSim for critical-path accounting.
+/// pool.
 class RnsBackend final : public HeBackend {
  public:
   explicit RnsBackend(const CkksParams& params);

@@ -16,9 +16,8 @@ namespace pphe {
 /// representation in parallel (the parallelism the paper's Fig. 5 relies on).
 ///
 /// With `num_threads == 0` (or 1) the pool degenerates to inline execution so
-/// single-core machines pay no synchronization overhead; the benches then use
-/// measured per-branch critical-path latency to report what a multi-core run
-/// would achieve (see DESIGN.md §3).
+/// single-core machines pay no synchronization overhead. The benches report
+/// wall time measured on global(), which has one worker per hardware thread.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads = default_thread_count());

@@ -13,7 +13,6 @@
 #include "common/check.hpp"
 #include "core/rotation_plan.hpp"
 #include "common/fault.hpp"
-#include "common/parallel_sim.hpp"
 #include "common/stats.hpp"
 #include "common/trace.hpp"
 
@@ -703,7 +702,6 @@ Ciphertext HeModel::run_linear(
   if (!plan.branch_groups.empty()) {
     PPHE_CHECK(branch_inputs.size() == plan.branch_groups.size(),
                "branch count mismatch");
-    ParallelSim::FanoutScope scope(plan.branch_groups.size());
     for (std::size_t m = 0; m < plan.branch_groups.size(); ++m) {
       Ciphertext ym =
           run_linear_single(plan, plan.branch_groups[m], branch_inputs[m]);

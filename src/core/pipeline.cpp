@@ -8,7 +8,6 @@
 #include "ckks/big_backend.hpp"
 #include "ckks/rns_backend.hpp"
 #include "common/check.hpp"
-#include "common/parallel_sim.hpp"
 #include "common/trace.hpp"
 #include "nn/serialize.hpp"
 
@@ -27,8 +26,6 @@ ExperimentConfig ExperimentConfig::from_flags(const CliFlags& flags) {
       flags.get_int("slaf-epochs", cfg.paper_profile ? 10 : 4));
   cfg.he_samples =
       static_cast<std::size_t>(flags.get_int("samples", cfg.he_samples));
-  cfg.workers =
-      static_cast<std::size_t>(flags.get_int("workers", cfg.workers));
   cfg.mnist_dir = flags.get("mnist-dir", "");
   cfg.cache_dir = flags.get("cache-dir", cfg.cache_dir);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1234));
@@ -168,7 +165,6 @@ EncryptedEvalResult run_encrypted_eval(HeBackend& backend,
   result.weight_cache_hits = cache_stats.hits;
   result.weight_cache_misses = cache_stats.misses;
   trace::Span eval_span("encrypted_eval", "pipeline");
-  eval_span.attr("workers", static_cast<double>(cfg.workers));
 
   // Plaintext reference accuracy over the full test set.
   std::size_t correct = 0;
@@ -191,32 +187,13 @@ EncryptedEvalResult run_encrypted_eval(HeBackend& backend,
     const float* img = test.images.data() + i * 784;
     const std::vector<float> image(img, img + 784);
 
-    // Stage the round trip manually so the ParallelSim window brackets the
-    // cloud-side evaluation only (the paper's Lat is per classification
-    // request on the cloud).
-    InferenceResult inf;
-    Stopwatch sw;
-    const auto inputs = model.encrypt_input(image);
-    inf.encrypt_seconds = sw.seconds();
-
-    ParallelSim::global().reset();
-    sw.reset();
-    const Ciphertext out = model.eval(inputs);
-    inf.eval_seconds = sw.seconds();
-    const double recorded = ParallelSim::global().sequential_seconds();
-    const double serial_extra = std::max(0.0, inf.eval_seconds - recorded);
-    const double parallel =
-        ParallelSim::global().simulate(cfg.workers) + serial_extra;
-
-    sw.reset();
-    inf.logits = model.decrypt_logits(out);
-    inf.decrypt_seconds = sw.seconds();
-    inf.predicted = static_cast<int>(
-        std::max_element(inf.logits.begin(), inf.logits.end()) -
-        inf.logits.begin());
+    // The paper's Lat is the cloud-side evaluation of one classification
+    // request: inf.eval_seconds, not the client's encrypt/decrypt.
+    const InferenceResult inf = model.infer(image);
+    PPHE_CHECK_CODE(!inf.degraded, ErrorCode::kNoiseBudget,
+                    "noise-budget guardrail refused evaluation");
 
     result.eval_latency.add(inf.eval_seconds);
-    result.parallel_latency.add(parallel);
     result.encrypt_avg += inf.encrypt_seconds;
     result.decrypt_avg += inf.decrypt_seconds;
 

@@ -22,7 +22,6 @@ struct ExperimentConfig {
   std::size_t relu_epochs = 10;  // paper: 30 (use --paper for full runs)
   std::size_t slaf_epochs = 6;
   std::size_t he_samples = 4;    // encrypted inferences per measurement
-  std::size_t workers = 16;      // simulated worker count (paper's Xeon: 16)
   std::string mnist_dir;         // real MNIST IDX directory (optional)
   std::string cache_dir = "ppcnn-cache";
   std::uint64_t seed = 1234;
@@ -39,8 +38,7 @@ struct ExperimentConfig {
   std::string isa;
 
   /// Reads --paper --train-size --test-size --epochs --slaf-epochs --samples
-  /// --workers --mnist-dir --cache-dir --seed --quiet --trace-out --faults
-  /// --force-isa.
+  /// --mnist-dir --cache-dir --seed --quiet --trace-out --faults --force-isa.
   static ExperimentConfig from_flags(const CliFlags& flags);
 
   CkksParams ckks_params() const;
@@ -75,8 +73,7 @@ class Experiment {
 /// Latency + accuracy of encrypted inference over a test-set sample, the
 /// measurement behind Tables III-VI.
 struct EncryptedEvalResult {
-  LatencyStats eval_latency;      // measured (sequential) per-inference wall
-  LatencyStats parallel_latency;  // ParallelSim critical path (cfg.workers)
+  LatencyStats eval_latency;    // measured per-inference eval wall time
   double encrypt_avg = 0.0;
   double decrypt_avg = 0.0;
   double spec_accuracy = 0.0;   // plaintext ModelSpec accuracy, full test set

@@ -4,7 +4,7 @@
 // within a small budget. The two arms alternate inside one process and the
 // comparison uses the min over repetitions, so host load spikes hit both
 // arms and cancel — unlike cross-run wall-clock diffs, which on a shared
-// 1-core box swing by 20%. `run_benches.sh --quick` runs this test with
+// 4-vCPU VM swing by 20% from hypervisor steal. `run_benches.sh --quick` runs this test with
 // OVERHEAD_TOLERANCE_PCT=2; the default stays looser so tier-1 ctest does
 // not flake on a busy machine.
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "ckks/big_backend.hpp"
 #include "ckks/rns_backend.hpp"
@@ -195,29 +196,44 @@ TEST(HeModel, TimingFieldsPopulated) {
 
 TEST(HeModel, MeasuredErrorWithinPredictedBound) {
   // The NoiseTracker bound propagated through the plan must dominate the
-  // measured logit error, for plaintext and encrypted weights alike.
-  RnsBackend backend(tiny_params());
+  // measured logit error on both backends, for plaintext and encrypted
+  // weights, with and without the input split into digit branches (the
+  // branch-sum loop of run_linear).
+  RnsBackend rns(tiny_params());
+  BigBackend big(tiny_params());
   const ModelSpec spec = tiny_spec(12, 8, 5, 3, 20);
-  for (const bool enc_w : {false, true}) {
-    HeModelOptions options;
-    options.encrypted_weights = enc_w;
-    const HeModel model(backend, spec, options);
-    EXPECT_GT(model.predicted_output_error(), 0.0);
+  const auto img = random_image(12, 77);
+  std::vector<float> quantized(img.size());
+  for (std::size_t i = 0; i < img.size(); ++i) {
+    quantized[i] = std::round(img[i] * 255.0f) / 255.0f;
+  }
+  const auto want = eval_spec(spec, quantized);
+  for (HeBackend* backend : std::initializer_list<HeBackend*>{&rns, &big}) {
+    for (const bool enc_w : {false, true}) {
+      for (const std::size_t k : {1u, 3u}) {
+        HeModelOptions options;
+        options.encrypted_weights = enc_w;
+        options.rns_branches = k;
+        const HeModel model(*backend, spec, options);
+        EXPECT_GT(model.predicted_output_error(), 0.0);
 
-    const auto img = random_image(12, 77);
-    std::vector<float> quantized(img.size());
-    for (std::size_t i = 0; i < img.size(); ++i) {
-      quantized[i] = std::round(img[i] * 255.0f) / 255.0f;
+        const auto got = model.infer(img).logits;
+        ASSERT_EQ(got.size(), want.size());
+        double measured = 0.0;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          measured = std::max(measured,
+                              std::abs(got[i] - static_cast<double>(want[i])));
+        }
+        const std::string where = backend->name() + ", " +
+                                  (enc_w ? "encrypted" : "plaintext") +
+                                  " weights, k=" + std::to_string(k);
+        EXPECT_LT(measured, model.predicted_output_error()) << where;
+        // The analytic bound is loose (>= 35 here against a measured
+        // <= 0.031), so it would not notice a lost digit branch, which
+        // costs ~0.23. An absolute tolerance pins the branch sum.
+        EXPECT_LT(measured, 0.1) << where;
+      }
     }
-    const auto want = eval_spec(spec, quantized);
-    const auto got = model.infer(img).logits;
-    double measured = 0.0;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      measured = std::max(measured,
-                          std::abs(got[i] - static_cast<double>(want[i])));
-    }
-    EXPECT_LT(measured, model.predicted_output_error())
-        << (enc_w ? "encrypted" : "plaintext") << " weights";
   }
 }
 
