@@ -301,11 +301,17 @@ except (OSError, ValueError) as e:
     print(f"hoisted BSGS gate skipped: cannot read BENCH_micro.json ({e})")
     raise SystemExit(0)
 # cpu_time, not real_time: same hypervisor-steal caveat as the NTT gate.
-rows = {b.get("name"): (b.get("cpu_time") or b.get("real_time"))
-        for b in d.get("benchmarks", [])
-        if b.get("run_type", "iteration") == "iteration"}
-fused = rows.get("BM_DenseBsgsLayer/fused")
-unfused = rows.get("BM_DenseBsgsLayer/unfused")
+# The rows are repeated (".../repeats:5"); host noise only ever inflates a
+# sample, so each side is its fastest repetition.
+def fastest(prefix):
+    times = [b.get("cpu_time") or b.get("real_time")
+             for b in d.get("benchmarks", [])
+             if b.get("run_type", "iteration") == "iteration"
+             and b.get("name", "").split("/repeats:")[0] == prefix]
+    times = [t for t in times if t]
+    return min(times) if times else None
+fused = fastest("BM_DenseBsgsLayer/fused")
+unfused = fastest("BM_DenseBsgsLayer/unfused")
 if not fused or not unfused:
     print("hoisted BSGS gate skipped: dense-layer rows missing from "
           "BENCH_micro.json")

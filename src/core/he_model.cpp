@@ -440,8 +440,7 @@ void HeModel::plan() {
         fill_slot(bias, t, static_cast<double>(lin.bias[t]));
       }
       lp.bias = make_weight(bias, scale, level);
-      plan_stage.name = "linear " + std::to_string(lin.in_dim) + "->" +
-                        std::to_string(lin.out_dim);
+      plan_stage.name = "linear " + lin.label();
       first_linear = false;
     } else {
       const ActivationSpec& act = stage.activation;
@@ -1004,8 +1003,7 @@ std::vector<HeModel::StageCost> HeModel::cost_report() const {
     StageCost cost;
     if (stage.is_linear) {
       const LinearPlan& lp = stage.linear;
-      cost.name = "linear " + std::to_string(lp.in_dim) + "->" +
-                  std::to_string(lp.out_dim);
+      cost.name = stage.name;
       const auto& groups =
           lp.branch_groups.empty() ? lp.groups : lp.branch_groups[0];
       std::set<std::size_t> babies;
@@ -1049,8 +1047,7 @@ std::vector<HeModel::StageCost> HeModel::cost_report() const {
       cost.scale_in = lp.scale_in;
     } else {
       const ActivationPlan& ap = stage.activation;
-      cost.name = "activation deg " + std::to_string(ap.degree) + " (" +
-                  std::to_string(ap.features) + " neurons)";
+      cost.name = stage.name + " (" + std::to_string(ap.features) + " slots)";
       cost.relins = ap.degree;  // one per power product + final
       cost.tile = ap.tile;
       cost.level_in = ap.level_in;

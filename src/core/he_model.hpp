@@ -275,8 +275,8 @@ class HeModel {
     bool is_linear = false;
     LinearPlan linear;
     ActivationPlan activation;
-    /// Short human label ("linear 784->128", "slaf deg 2"), used to name the
-    /// per-layer trace span.
+    /// Short human label ("linear 784->720 [1024 slots]", "activation deg 3"),
+    /// used to name the per-layer trace span.
     std::string name;
     /// Analytic slot-error bound at this stage's OUTPUT (NoiseTracker state
     /// captured during plan()), exported on the layer span.

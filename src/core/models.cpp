@@ -1,7 +1,10 @@
 #include "core/models.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -192,28 +195,122 @@ TrainedModel train_protocol(Arch arch, Activation act, const Dataset& train_set,
 
 namespace {
 
-/// Unrolls a Conv2D over (C, H, W) inputs into a dense LinearSpec.
-LinearSpec lower_conv(const Conv2D& conv, std::size_t in_c, std::size_t in_h,
-                      std::size_t in_w) {
-  PPHE_CHECK(in_c == conv.in_channels(), "conv channel mismatch");
+/// Where each feature of the tensor flowing between stages lives in the
+/// vector a stage sees: feature (c, y, x) sits in slot
+/// (offset[c] + grid[y * w + x]) mod span. Flatten keeps the map, so flat
+/// feature k = (c * h + y) * w + x has the slot of its (c, y, x). Slots no
+/// feature maps to are holes.
+struct SlotMap {
+  std::size_t c = 1, h = 1, w = 1;
+  std::size_t span = 1;
+  std::vector<std::size_t> offset;  // per channel
+  std::vector<std::size_t> grid;    // per pixel, before the channel offset
+
+  /// Row-major order with no holes: what the client encrypts and what a
+  /// dense layer writes.
+  static SlotMap compact(std::size_t c, std::size_t h, std::size_t w) {
+    SlotMap map;
+    map.c = c;
+    map.h = h;
+    map.w = w;
+    map.span = c * h * w;
+    for (std::size_t ch = 0; ch < c; ++ch) map.offset.push_back(ch * h * w);
+    for (std::size_t p = 0; p < h * w; ++p) map.grid.push_back(p);
+    return map;
+  }
+
+  std::size_t features() const { return c * h * w; }
+  std::size_t slot(std::size_t ch, std::size_t y, std::size_t x) const {
+    return (offset[ch] + grid[y * w + x]) % span;
+  }
+  std::size_t slot(std::size_t flat) const {
+    return (offset[flat / (h * w)] + grid[flat % (h * w)]) % span;
+  }
+};
+
+/// Channel offsets Y_0 < Y_1 < ... < Y_{channels-1}, the lexicographically
+/// smallest whose shifted lattices Y_f + lattice are pairwise disjoint mod
+/// `tile`. Two shifts collide iff their difference lies in
+/// lattice - lattice, so the depth-first search compares offsets only.
+/// Greedy first-fit is not enough: for CNN1 it fills the tile so that the
+/// last channel has nowhere to go. Throws when no placement is found within
+/// the search budget.
+std::vector<std::size_t> place_channels(const std::vector<std::size_t>& lattice,
+                                        std::size_t channels,
+                                        std::size_t tile) {
+  std::vector<bool> clash(tile, false);
+  for (const std::size_t a : lattice) {
+    for (const std::size_t b : lattice) clash[(a + tile - b) % tile] = true;
+  }
+  std::vector<std::size_t> offsets;
+  std::size_t budget = std::size_t{1} << 22;  // candidate checks
+  // Fills offsets[offsets.size()..] with candidates >= `from`.
+  const auto place = [&](const auto& self, std::size_t from) -> bool {
+    if (offsets.size() == channels) return true;
+    for (std::size_t y = from; y + (channels - offsets.size()) <= tile; ++y) {
+      if (budget == 0) return false;
+      --budget;
+      bool free = true;
+      for (const std::size_t o : offsets) free = free && !clash[y - o];
+      if (!free) continue;
+      offsets.push_back(y);
+      if (self(self, y + 1)) return true;
+      offsets.pop_back();
+    }
+    return false;
+  };
+  PPHE_CHECK(place(place, 0),
+             "cannot place " + std::to_string(channels) +
+                 " conv output channels of " + std::to_string(lattice.size()) +
+                 " slots each disjointly in a " + std::to_string(tile) +
+                 "-slot tile");
+  return offsets;
+}
+
+/// Lowers a Conv2D over `map` into a LinearSpec on the gapped layout: output
+/// (f, oy, ox) goes to Y_f + grid(s*oy, s*ox), the slot of its receptive
+/// field's top-left input pixel shifted by a per-channel offset. Then
+/// col - row = X_c - Y_f + grid(ky, kx) for every output, so the matrix has
+/// at most C_in * C_out * K^2 diagonals. `map` becomes the output layout.
+LinearSpec lower_conv(const Conv2D& conv, SlotMap& map) {
+  PPHE_CHECK(map.c == conv.in_channels(), "conv channel mismatch");
   const std::size_t k = conv.kernel(), s = conv.stride();
-  const std::size_t oh = (in_h - k) / s + 1;
-  const std::size_t ow = (in_w - k) / s + 1;
+  const std::size_t oh = (map.h - k) / s + 1;
+  const std::size_t ow = (map.w - k) / s + 1;
+  const std::size_t channels = conv.out_channels();
+  // The output span never exceeds the tile the compact layout would need,
+  // so the model's tile and max batch stay those of compact packing.
+  const std::size_t tile =
+      std::bit_ceil(std::max(map.span, channels * oh * ow));
+
+  std::vector<std::size_t> lattice;
+  for (std::size_t oy = 0; oy < oh; ++oy) {
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      lattice.push_back(map.grid[(s * oy) * map.w + s * ox]);
+    }
+  }
+  SlotMap out;
+  out.c = channels;
+  out.h = oh;
+  out.w = ow;
+  out.span = tile;
+  out.offset = place_channels(lattice, channels, tile);
+  out.grid = std::move(lattice);
+
   LinearSpec spec;
-  spec.in_dim = in_c * in_h * in_w;
-  spec.out_dim = conv.out_channels() * oh * ow;
+  spec.in_dim = map.span;
+  spec.out_dim = tile;
   spec.weight.assign(spec.in_dim * spec.out_dim, 0.0f);
   spec.bias.assign(spec.out_dim, 0.0f);
-  for (std::size_t f = 0; f < conv.out_channels(); ++f) {
+  for (std::size_t f = 0; f < channels; ++f) {
     for (std::size_t oy = 0; oy < oh; ++oy) {
       for (std::size_t ox = 0; ox < ow; ++ox) {
-        const std::size_t row = (f * oh + oy) * ow + ox;
+        const std::size_t row = out.slot(f, oy, ox);
         spec.bias[row] = conv.bias().value[f];
-        for (std::size_t c = 0; c < in_c; ++c) {
+        for (std::size_t c = 0; c < map.c; ++c) {
           for (std::size_t ky = 0; ky < k; ++ky) {
             for (std::size_t kx = 0; kx < k; ++kx) {
-              const std::size_t col =
-                  (c * in_h + oy * s + ky) * in_w + ox * s + kx;
+              const std::size_t col = map.slot(c, oy * s + ky, ox * s + kx);
               spec.weight[row * spec.in_dim + col] =
                   conv.weight().value.at4(f, c, ky, kx);
             }
@@ -222,17 +319,19 @@ LinearSpec lower_conv(const Conv2D& conv, std::size_t in_c, std::size_t in_h,
       }
     }
   }
+  map = std::move(out);
   return spec;
 }
 
-void fold_batchnorm(LinearSpec& linear, const BatchNorm2D& bn) {
-  // Rows of the conv output are grouped by channel; scale row weights and
-  // adjust bias so BN disappears into the linear map.
-  const std::size_t rows_per_channel = linear.out_dim / bn.channels();
+/// Folds BN into the conv rows of each channel; hole rows stay zero.
+void fold_batchnorm(LinearSpec& linear, const BatchNorm2D& bn,
+                    const SlotMap& map) {
+  PPHE_CHECK(bn.channels() == map.c, "batch norm channel mismatch");
   const auto scale = bn.fold_scale();
   const auto shift = bn.fold_shift();
-  for (std::size_t row = 0; row < linear.out_dim; ++row) {
-    const std::size_t c = row / rows_per_channel;
+  for (std::size_t k = 0; k < map.features(); ++k) {
+    const std::size_t c = k / (map.h * map.w);
+    const std::size_t row = map.slot(k);
     for (std::size_t col = 0; col < linear.in_dim; ++col) {
       linear.weight[row * linear.in_dim + col] *= scale[c];
     }
@@ -240,36 +339,63 @@ void fold_batchnorm(LinearSpec& linear, const BatchNorm2D& bn) {
   }
 }
 
-LinearSpec lower_dense(const Dense& dense) {
+/// Lowers a Dense layer reading features through `map`; its output is
+/// compact, so `map` becomes the compact map of out_dim features.
+LinearSpec lower_dense(const Dense& dense, SlotMap& map) {
+  PPHE_CHECK(map.features() == dense.in_dim(), "dense input mismatch");
   LinearSpec spec;
-  spec.in_dim = dense.in_dim();
+  spec.in_dim = map.span;
   spec.out_dim = dense.out_dim();
-  spec.weight.assign(dense.weight().value.vec().begin(),
-                     dense.weight().value.vec().end());
+  spec.weight.assign(spec.in_dim * spec.out_dim, 0.0f);
+  for (std::size_t row = 0; row < spec.out_dim; ++row) {
+    for (std::size_t i = 0; i < dense.in_dim(); ++i) {
+      spec.weight[row * spec.in_dim + map.slot(i)] =
+          dense.weight().value.at2(row, i);
+    }
+  }
   spec.bias.assign(dense.bias().value.vec().begin(),
                    dense.bias().value.vec().end());
+  map = SlotMap::compact(spec.out_dim, 1, 1);
   return spec;
 }
 
-ActivationSpec lower_slaf(const Slaf& slaf) {
+/// Per-feature polynomial coefficients (`coeff(k, p)` for feature k) placed
+/// on the slots of `map`; hole slots get all-zero coefficients.
+template <typename Coeff>
+ActivationSpec lower_activation(const SlotMap& map, std::size_t degree,
+                                Coeff coeff) {
   ActivationSpec spec;
-  spec.features = slaf.features();
-  spec.degree = slaf.degree();
-  spec.coeffs.assign(slaf.coeffs().value.vec().begin(),
-                     slaf.coeffs().value.vec().end());
-  return spec;
-}
-
-ActivationSpec square_spec(std::size_t features) {
-  ActivationSpec spec;
-  spec.features = features;
-  spec.degree = 2;
-  spec.coeffs.assign(features * 3, 0.0f);
-  for (std::size_t k = 0; k < features; ++k) spec.coeffs[k * 3 + 2] = 1.0f;
+  spec.features = map.span;
+  spec.degree = degree;
+  spec.coeffs.assign(spec.features * (degree + 1), 0.0f);
+  for (std::size_t k = 0; k < map.features(); ++k) {
+    for (std::size_t p = 0; p <= degree; ++p) {
+      spec.coeffs[map.slot(k) * (degree + 1) + p] = coeff(k, p);
+    }
+  }
   return spec;
 }
 
 }  // namespace
+
+std::size_t LinearSpec::live_outputs() const {
+  std::size_t live = 0;
+  for (std::size_t row = 0; row < out_dim; ++row) {
+    bool any = bias[row] != 0.0f;
+    for (std::size_t col = 0; col < in_dim && !any; ++col) {
+      any = at(row, col) != 0.0f;
+    }
+    live += any ? 1 : 0;
+  }
+  return live;
+}
+
+std::string LinearSpec::label() const {
+  const std::size_t live = live_outputs();
+  std::string out = std::to_string(in_dim) + "->" + std::to_string(live);
+  if (live != out_dim) out += " [" + std::to_string(out_dim) + " slots]";
+  return out;
+}
 
 std::size_t ModelSpec::depth() const {
   std::size_t d = 0;
@@ -291,47 +417,45 @@ ModelSpec compile_model(const TrainedModel& model) {
   spec.name = arch_name(model.arch) + "-HE" +
               (model.activation == Activation::kSlaf ? "-SLAF" : "-SQ");
 
-  // Track the spatial shape through the network for conv lowering.
-  std::size_t c = 1, h = 28, w = 28;
-  std::size_t flat = 784;
+  // The slot map follows the tensor through the stages: compact for the
+  // input image, gapped after each convolution, compact after each dense.
+  SlotMap map = SlotMap::compact(1, 28, 28);
   LinearSpec* pending_linear = nullptr;
+  const auto push = [&](ModelSpec::Stage::Kind kind) -> ModelSpec::Stage& {
+    spec.stages.emplace_back();
+    spec.stages.back().kind = kind;
+    return spec.stages.back();
+  };
 
   for (const auto& layer : model.network->layers()) {
     if (const auto* conv = dynamic_cast<const Conv2D*>(layer.get())) {
-      ModelSpec::Stage stage;
-      stage.kind = ModelSpec::Stage::Kind::kLinear;
-      stage.linear = lower_conv(*conv, c, h, w);
-      spec.stages.push_back(std::move(stage));
-      pending_linear = &spec.stages.back().linear;
-      c = conv->out_channels();
-      h = (h - conv->kernel()) / conv->stride() + 1;
-      w = (w - conv->kernel()) / conv->stride() + 1;
-      flat = c * h * w;
+      auto& stage = push(ModelSpec::Stage::Kind::kLinear);
+      stage.linear = lower_conv(*conv, map);
+      pending_linear = &stage.linear;
     } else if (const auto* bn = dynamic_cast<const BatchNorm2D*>(layer.get())) {
       PPHE_CHECK(pending_linear != nullptr,
                  "BatchNorm must follow a convolution");
-      fold_batchnorm(*pending_linear, *bn);
+      fold_batchnorm(*pending_linear, *bn, map);
     } else if (const auto* dense = dynamic_cast<const Dense*>(layer.get())) {
-      ModelSpec::Stage stage;
-      stage.kind = ModelSpec::Stage::Kind::kLinear;
-      stage.linear = lower_dense(*dense);
-      spec.stages.push_back(std::move(stage));
-      pending_linear = &spec.stages.back().linear;
-      flat = dense->out_dim();
+      auto& stage = push(ModelSpec::Stage::Kind::kLinear);
+      stage.linear = lower_dense(*dense, map);
+      pending_linear = &stage.linear;
     } else if (const auto* slaf = dynamic_cast<const Slaf*>(layer.get())) {
-      ModelSpec::Stage stage;
-      stage.kind = ModelSpec::Stage::Kind::kActivation;
-      stage.activation = lower_slaf(*slaf);
-      spec.stages.push_back(std::move(stage));
+      PPHE_CHECK(slaf->features() == map.features(), "SLAF width mismatch");
+      push(ModelSpec::Stage::Kind::kActivation).activation = lower_activation(
+          map, slaf->degree(), [&](std::size_t k, std::size_t p) {
+            return slaf->coeffs().value.at2(k, p);
+          });
       pending_linear = nullptr;
     } else if (dynamic_cast<const Square*>(layer.get()) != nullptr) {
-      ModelSpec::Stage stage;
-      stage.kind = ModelSpec::Stage::Kind::kActivation;
-      stage.activation = square_spec(flat);
-      spec.stages.push_back(std::move(stage));
+      // x^2 on every live slot.
+      push(ModelSpec::Stage::Kind::kActivation).activation =
+          lower_activation(map, 2, [](std::size_t, std::size_t p) {
+            return p == 2 ? 1.0f : 0.0f;
+          });
       pending_linear = nullptr;
     }
-    // Flatten / Reshape4D are layout bookkeeping only.
+    // Flatten / Reshape4D keep the slot map.
   }
   return spec;
 }

@@ -83,9 +83,12 @@ TrainedModel train_protocol(Arch arch, Activation act, const Dataset& train,
 // Compiled plaintext model: what the HE engine consumes.
 // ---------------------------------------------------------------------------
 
-/// A dense matrix y = W x + b over flattened feature vectors. Convolutions
-/// (with folded batch norm) and dense layers both lower to this form; the HE
-/// engine packs it with the BSGS diagonal method.
+/// A dense matrix y = W x + b over slot vectors. Convolutions (with folded
+/// batch norm) and dense layers both lower to this form; the HE engine packs
+/// it with the BSGS diagonal method. Inputs and outputs are indexed by slot,
+/// not by feature: a convolution writes a gapped layout (see compile_model),
+/// so out_dim is the slot span and rows no feature maps to are all-zero
+/// holes.
 struct LinearSpec {
   std::size_t in_dim = 0;
   std::size_t out_dim = 0;
@@ -95,10 +98,16 @@ struct LinearSpec {
   float at(std::size_t row, std::size_t col) const {
     return weight[row * in_dim + col];
   }
+  /// Rows with a nonzero weight or bias (out_dim minus the holes).
+  std::size_t live_outputs() const;
+  /// "784->720 [1024 slots]": in_dim, live outputs, and the output span when
+  /// it has holes.
+  std::string label() const;
 };
 
 /// Polynomial activation with per-neuron coefficients (eq. (2)); Square is
-/// represented as the fixed polynomial x^2 for every neuron.
+/// represented as the fixed polynomial x^2 for every neuron. Neurons are
+/// slots of the preceding linear stage; holes get all-zero coefficients.
 struct ActivationSpec {
   std::size_t features = 0;
   std::size_t degree = 0;
@@ -123,9 +132,18 @@ struct ModelSpec {
   std::size_t depth() const;
 };
 
-/// Lowers a trained network to linear + activation stages: convolutions are
-/// unrolled to sparse matrices over flattened tensors, batch norms are folded
-/// into the preceding convolution, flatten disappears.
+/// Lowers a trained network to linear + activation stages: batch norms fold
+/// into the preceding convolution, flatten disappears, and a slot map carries
+/// each feature's slot from stage to stage. The input image and every dense
+/// output are compact (feature k in slot k). A stride-s convolution writes
+/// output (f, oy, ox) to slot (Y_f + grid(s*oy, s*ox)) mod tile, where grid
+/// gives an input pixel's slot before its channel offset and tile is
+/// next_pow2 of the conv's compact dimensions. So col - row depends only on
+/// (c, f, ky, kx) and the conv matrix has at most C_in*C_out*K^2 diagonals.
+/// The offsets Y_f are the lexicographically smallest set whose output
+/// lattices are pairwise disjoint mod tile; activations and the next stage's
+/// columns follow the map and the final logits stay compact. Throws
+/// pphe::Error when a conv's channels cannot be placed.
 ModelSpec compile_model(const TrainedModel& model);
 
 /// Evaluates a ModelSpec in the clear (reference for HE output validation).
