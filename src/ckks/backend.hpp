@@ -150,6 +150,20 @@ struct BsgsGroupSpec {
   std::vector<BsgsTerm> terms;
 };
 
+/// One Galois key request: rotation `step` (0 = the conjugation key),
+/// usable by ciphertexts at levels 0..`level`.
+struct GaloisKeyRequest {
+  int step = 0;
+  int level = 0;
+};
+
+/// Resident Galois key material: how many keys a backend holds and their
+/// bytes (key polynomials plus any precomputed tables built from them).
+struct GaloisKeyStats {
+  std::size_t keys = 0;
+  std::uint64_t bytes = 0;
+};
+
 /// Abstract CKKS evaluator: the primitives of §II of the paper (KeyGen at
 /// construction, Encrypt/Decrypt, Add, Mult, Resc, Rot) plus the plaintext
 /// variants every CNN-HE engine needs. Two implementations exist:
@@ -321,11 +335,25 @@ class HeBackend {
     return ct;
   }
 
-  /// Pre-generates Galois keys for the given rotation steps (idempotent).
-  virtual void ensure_galois_keys(std::span<const int> steps) = 0;
+  /// Pre-generates Galois keys, each for the levels its request names, in
+  /// ONE pass (one kGaloisKeys count). Idempotent: a key already built for
+  /// the requested level or higher is kept, one built for a lower level is
+  /// rebuilt at the higher one, and a step listed twice gets the higher of
+  /// its levels. A backend may build keys for more levels than asked.
+  virtual void ensure_galois_keys(std::span<const GaloisKeyRequest> keys) = 0;
+  /// Keys for the given steps at every level (max_level()).
+  void ensure_galois_keys(std::span<const int> steps) {
+    std::vector<GaloisKeyRequest> keys;
+    keys.reserve(steps.size());
+    for (const int step : steps) keys.push_back({step, max_level()});
+    ensure_galois_keys(std::span<const GaloisKeyRequest>(keys));
+  }
   void ensure_galois_keys(std::initializer_list<int> steps) {
     ensure_galois_keys(std::span<const int>(steps.begin(), steps.size()));
   }
+  /// Galois keys currently held (the relinearization key is not counted);
+  /// zeros from a backend that does not track them.
+  virtual GaloisKeyStats galois_key_stats() const { return {}; }
 
   // --- convenience (non-virtual) ---------------------------------------
   /// Encodes at the ciphertext's own scale and level, then multiplies.

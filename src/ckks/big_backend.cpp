@@ -734,16 +734,16 @@ Ciphertext BigBackend::rotate(const Ciphertext& a, int step) const {
   return apply_automorphism_ct(a, exponent, it->second, OpKind::kRotate);
 }
 
-void BigBackend::ensure_galois_keys(std::span<const int> steps) {
+void BigBackend::ensure_galois_keys(std::span<const GaloisKeyRequest> keys) {
   OpScope op(*this, OpKind::kGaloisKeys);
-  op.attr("steps", static_cast<double>(steps.size()));
+  op.attr("steps", static_cast<double>(keys.size()));
   const int top = max_level();
   const BigUInt aux = q_ladder_[top] * p_modulus_;
   const std::size_t n = params_.degree;
   const std::size_t two_n = 2 * n;
-  for (const int step : steps) {
+  for (const GaloisKeyRequest& req : keys) {
     const std::uint64_t exponent =
-        step == 0 ? 2 * params_.degree - 1 : rotation_exponent(step);
+        req.step == 0 ? 2 * params_.degree - 1 : rotation_exponent(req.step);
     if (galois_keys_.count(exponent) != 0) continue;
     // Target: s composed with the automorphism, lifted mod Q_L * P.
     std::vector<std::int64_t> s_g(n, 0);

@@ -77,8 +77,11 @@ class BigBackend final : public HeBackend {
   Ciphertext rescale(const Ciphertext& a) const override;
   Ciphertext mod_drop_to(const Ciphertext& a, int level) const override;
   Ciphertext rotate(const Ciphertext& a, int step) const override;
-  void ensure_galois_keys(std::span<const int> steps) override;
-  using HeBackend::ensure_galois_keys;  // braced-list overload
+  /// Builds every key over the full modulus Q_L * P whatever level is
+  /// requested (the baseline keeps one key per step; key_at_level reduces
+  /// it on use).
+  void ensure_galois_keys(std::span<const GaloisKeyRequest> keys) override;
+  using HeBackend::ensure_galois_keys;  // full-level step overloads
 
   const CkksEncoder& encoder() const { return encoder_; }
   const std::shared_ptr<VecPool<BigUInt>>& pool() const { return big_pool_; }

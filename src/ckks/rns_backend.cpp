@@ -1,7 +1,9 @@
 #include "ckks/rns_backend.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <map>
 
 #include "ckks/serialize.hpp"
 #include "common/check.hpp"
@@ -146,8 +148,7 @@ RnsPoly RnsBackend::uniform_poly(int level, bool with_special) const {
   RnsPoly p = zero_poly(level, with_special, /*ntt=*/true);
   std::lock_guard<std::mutex> lock(prng_mutex_);
   for (std::size_t c = 0; c < p.channels(); ++c) {
-    const Modulus& mod = mod_for(p, c);
-    for (auto& v : p.ch(c)) v = prng_.uniform_below(mod.value());
+    prng_.uniform_fill(p.ch(c), mod_for(p, c).value());
   }
   return p;
 }
@@ -230,9 +231,9 @@ RnsPoly RnsBackend::pointwise(const RnsPoly& a, const RnsPoly& b) const {
 
 PolyBuffer RnsBackend::shoup_form(const RnsPoly& p) const {
   PolyBuffer q(pool_, p.channels(), params_.degree, /*zero_fill=*/false);
-  for (std::size_t c = 0; c < p.channels(); ++c) {
+  ThreadPool::global().parallel_for(p.channels(), [&](std::size_t c) {
     dyadic::shoup_precompute(p.ch(c), q[c], mod_for(p, c));
-  }
+  });
   return q;
 }
 
@@ -280,28 +281,53 @@ void RnsBackend::generate_keys() {
   pk_b_shoup_ = shoup_form(pk_b_);
   pk_a_shoup_ = shoup_form(pk_a_);
 
-  // Relinearization key: targets s^2.
+  // Relinearization key: targets s^2. Relinearization runs at every level,
+  // so its key covers all of them.
   RnsPoly s2 = pointwise(sk_ntt_, sk_ntt_);
-  relin_key_ = make_ksw_key(s2);
+  relin_key_ = make_ksw_key(s2, top);
 }
 
-RnsBackend::KswKey RnsBackend::make_ksw_key(const RnsPoly& target_ntt) const {
-  PPHE_CHECK(target_ntt.ntt && target_ntt.channels() == q_moduli_.size() + 1,
-             "key-switch target must be NTT over all channels");
-  const int top = max_level();
+RnsPoly RnsBackend::key_basis(const RnsPoly& p, int level) const {
+  PPHE_CHECK(p.has_special && p.channels() == q_moduli_.size() + 1,
+             "key_basis expects a poly over every channel");
+  const std::size_t q_channels = static_cast<std::size_t>(level) + 1;
+  const std::size_t n = params_.degree;
+  RnsPoly out;
+  out.buf = PolyBuffer(pool_, q_channels + 1, n, /*zero_fill=*/false);
+  out.ntt = p.ntt;
+  out.has_special = true;
+  std::memcpy(out.buf.data(), p.buf.data(),
+              q_channels * n * sizeof(std::uint64_t));
+  std::memcpy(out.ch(q_channels).data(), p.ch(p.channels() - 1).data(),
+              n * sizeof(std::uint64_t));
+  return out;
+}
+
+RnsBackend::KswKey RnsBackend::make_ksw_key(const RnsPoly& target_ntt,
+                                            int level) const {
+  PPHE_CHECK(level >= 0 && level <= max_level(), "key level out of range");
+  const std::size_t q_channels = static_cast<std::size_t>(level) + 1;
+  PPHE_CHECK(target_ntt.ntt && target_ntt.has_special &&
+                 target_ntt.channels() == q_channels + 1,
+             "key-switch target must be NTT over the key's channels");
+  // The same RLWE key as one over the whole chain, reduced mod Q_level * p:
+  // a ciphertext at level <= `level` only ever reads these digits and
+  // channels.
+  const RnsPoly sk = key_basis(sk_ntt_, level);
   KswKey key;
-  key.digits.resize(q_moduli_.size());
-  key.shoup.resize(q_moduli_.size());
-  for (std::size_t j = 0; j < q_moduli_.size(); ++j) {
-    RnsPoly a_j = uniform_poly(top, /*with_special=*/true);
+  key.level = level;
+  key.digits.resize(q_channels);
+  key.shoup.resize(q_channels);
+  for (std::size_t j = 0; j < q_channels; ++j) {
+    RnsPoly a_j = uniform_poly(level, /*with_special=*/true);
     const auto e = [this] {
       std::lock_guard<std::mutex> lock(prng_mutex_);
       return sample_gaussian(prng_, params_.degree, params_.noise_sigma);
     }();
-    RnsPoly e_j = lift_signed(e, top, /*with_special=*/true);
+    RnsPoly e_j = lift_signed(e, level, /*with_special=*/true);
     to_ntt(e_j);
     // b_j = -a_j s + e_j + (p mod q_j) * target  [only on channel j].
-    RnsPoly b_j = pointwise(a_j, sk_ntt_);
+    RnsPoly b_j = pointwise(a_j, sk);
     negate_inplace(b_j);
     add_inplace(b_j, e_j);
     const Modulus& mod_j = q_moduli_[j];
@@ -375,6 +401,11 @@ ExtAccumulator RnsBackend::ext_zero(int level) const {
 void RnsBackend::ksw_inner_prod(const KswDigits& digits, const KswKey& key,
                                 const std::uint32_t* perm,
                                 ExtAccumulator& acc) const {
+  PPHE_CHECK_CODE(digits.level <= key.level, ErrorCode::kLevelMismatch,
+                  "key switch at level " + std::to_string(digits.level) +
+                      " with a key built for levels 0.." +
+                      std::to_string(key.level) +
+                      "; ensure the Galois key at the higher level");
   OpScope op(*this, OpKind::kKswInner);
   op.attr("digits", static_cast<double>(digits.q_channels));
   op.attr("level", static_cast<double>(digits.level));
@@ -382,7 +413,8 @@ void RnsBackend::ksw_inner_prod(const KswDigits& digits, const KswKey& key,
   const std::size_t channels = digits.channels;
   const std::size_t q_channels = digits.q_channels;
   const std::size_t n = params_.degree;
-  const std::size_t key_special = q_moduli_.size();  // key channel index of p
+  // Key channel index of p: the key's q channels come first.
+  const std::size_t key_special = static_cast<std::size_t>(key.level) + 1;
 
   // Rotated inner products gather each digit through the automorphism
   // permutation ONCE into a scratch row, then run the same flat HAL
@@ -872,14 +904,7 @@ std::vector<Ciphertext> RnsBackend::rotate_batch(
     OpScope op(*this, OpKind::kRotateHoisted, a);
     op.attr("step", step);
     const std::uint64_t exponent = rotation_exponent(step);
-    const KswKey* key_ptr = nullptr;
-    {
-      std::shared_lock<std::shared_mutex> lock(galois_mutex_);
-      auto key_it = galois_keys_.find(exponent);
-      if (key_it != galois_keys_.end()) key_ptr = &key_it->second;
-    }
-    PPHE_CHECK(key_ptr != nullptr,
-               "missing Galois key for step " + std::to_string(step));
+    const auto key_ptr = galois_key(step);
     const auto& perm = ntt_permutation(exponent);
 
     ExtAccumulator acc = ext_zero(level);
@@ -938,14 +963,7 @@ Ciphertext RnsBackend::rotate_sum(std::span<const Ciphertext> cts,
       continue;
     }
     const std::uint64_t exponent = rotation_exponent(steps[t]);
-    const KswKey* key_ptr = nullptr;
-    {
-      std::shared_lock<std::shared_mutex> lock(galois_mutex_);
-      auto key_it = galois_keys_.find(exponent);
-      if (key_it != galois_keys_.end()) key_ptr = &key_it->second;
-    }
-    PPHE_CHECK(key_ptr != nullptr,
-               "missing Galois key for step " + std::to_string(steps[t]));
+    const auto key_ptr = galois_key(steps[t]);
     const auto& perm = ntt_permutation(exponent);
 
     RnsPoly c1 = bc.polys[1];
@@ -1095,14 +1113,7 @@ Ciphertext RnsBackend::linear_bsgs(const Ciphertext& x,
     }
     const int step = uses.front().second->baby_step;
     const std::uint64_t exponent = rotation_exponent(step);
-    const KswKey* key_ptr = nullptr;
-    {
-      std::shared_lock<std::shared_mutex> lock(galois_mutex_);
-      auto key_it = galois_keys_.find(exponent);
-      if (key_it != galois_keys_.end()) key_ptr = &key_it->second;
-    }
-    PPHE_CHECK(key_ptr != nullptr,
-               "missing Galois key for step " + std::to_string(step));
+    const auto key_ptr = galois_key(step);
     const auto& perm = ntt_permutation(exponent);
     ExtAccumulator ip = ext_zero(level);
     ksw_inner_prod(digits, *key_ptr, perm.data(), ip);
@@ -1154,15 +1165,7 @@ Ciphertext RnsBackend::linear_bsgs(const Ciphertext& x,
 
     auto [md0, md1] = ksw_mod_down(std::move(g_ext[g]));
     const std::uint64_t exponent = rotation_exponent(groups[g].giant_step);
-    const KswKey* key_ptr = nullptr;
-    {
-      std::shared_lock<std::shared_mutex> lock(galois_mutex_);
-      auto key_it = galois_keys_.find(exponent);
-      if (key_it != galois_keys_.end()) key_ptr = &key_it->second;
-    }
-    PPHE_CHECK(key_ptr != nullptr,
-               "missing Galois key for step " +
-                   std::to_string(groups[g].giant_step));
+    const auto key_ptr = galois_key(groups[g].giant_step);
     const auto& gperm = ntt_permutation(exponent);
     // comp1 of the group result (coefficient form) feeds the giant-rotation
     // inner product; its mod-down is deferred to the layer epilogue.
@@ -1266,29 +1269,13 @@ void RnsBackend::multiply_plain_acc(Ciphertext& acc, const Ciphertext& a,
 }
 
 Ciphertext RnsBackend::rotate(const Ciphertext& a, int step) const {
-  const std::uint64_t exponent = rotation_exponent(step);
-  const KswKey* key = nullptr;
-  {
-    // Shared lock for the lookup only: keys are never erased, so the node
-    // reference stays valid while concurrent ensure_galois_keys() inserts.
-    std::shared_lock<std::shared_mutex> lock(galois_mutex_);
-    auto it = galois_keys_.find(exponent);
-    if (it != galois_keys_.end()) key = &it->second;
-  }
-  PPHE_CHECK(key != nullptr,
-             "missing Galois key for step " + std::to_string(step) +
-                 "; call ensure_galois_keys first");
-  return apply_automorphism_ct(a, exponent, *key, OpKind::kRotate);
+  return apply_automorphism_ct(a, rotation_exponent(step), *galois_key(step),
+                               OpKind::kRotate);
 }
 
 Ciphertext RnsBackend::conjugate(const Ciphertext& a) const {
   const std::uint64_t exponent = 2 * params_.degree - 1;
-  const KswKey* key = nullptr;
-  {
-    std::shared_lock<std::shared_mutex> lock(galois_mutex_);
-    auto it = galois_keys_.find(exponent);
-    if (it != galois_keys_.end()) key = &it->second;
-  }
+  const auto key = find_galois_key(exponent);
   PPHE_CHECK(key != nullptr,
              "missing conjugation key; call ensure_galois_keys({0})");
   return apply_automorphism_ct(a, exponent, *key, OpKind::kConjugate);
@@ -1351,21 +1338,68 @@ Ciphertext RnsBackend::clone_mutate_limbs(
   return Ciphertext(std::move(impl), ct.scale(), ct.level(), ct.size());
 }
 
-void RnsBackend::ensure_galois_keys(std::span<const int> steps) {
+std::shared_ptr<const RnsBackend::KswKey> RnsBackend::find_galois_key(
+    std::uint64_t exponent) const {
+  std::shared_lock<std::shared_mutex> lock(galois_mutex_);
+  const auto it = galois_keys_.find(exponent);
+  return it == galois_keys_.end() ? nullptr : it->second;
+}
+
+std::shared_ptr<const RnsBackend::KswKey> RnsBackend::galois_key(
+    int step) const {
+  auto key = find_galois_key(rotation_exponent(step));
+  PPHE_CHECK(key != nullptr, "missing Galois key for step " +
+                                 std::to_string(step) +
+                                 "; call ensure_galois_keys first");
+  return key;
+}
+
+void RnsBackend::ensure_galois_keys(std::span<const GaloisKeyRequest> keys) {
   OpScope op(*this, OpKind::kGaloisKeys);
-  op.attr("steps", static_cast<double>(steps.size()));
-  // Exclusive lock across the whole pass: concurrent serving sessions may
-  // ensure the same steps; the second caller must observe complete keys.
-  std::unique_lock<std::shared_mutex> lock(galois_mutex_);
-  for (const int step : steps) {
+  op.attr("steps", static_cast<double>(keys.size()));
+  std::map<std::uint64_t, int> wanted;  // exponent -> highest level asked
+  for (const GaloisKeyRequest& req : keys) {
+    PPHE_CHECK(req.level >= 0 && req.level <= max_level(),
+               "Galois key level " + std::to_string(req.level) +
+                   " outside [0, " + std::to_string(max_level()) + "]");
     // Step 0 requests the conjugation key by convention.
     const std::uint64_t exponent =
-        step == 0 ? 2 * params_.degree - 1 : rotation_exponent(step);
-    if (galois_keys_.count(exponent) != 0) continue;
-    RnsPoly s_g = automorphism(sk_coeff_, exponent);
-    to_ntt(s_g);
-    galois_keys_.emplace(exponent, make_ksw_key(s_g));
+        req.step == 0 ? 2 * params_.degree - 1 : rotation_exponent(req.step);
+    int& level = wanted.try_emplace(exponent, req.level).first->second;
+    level = std::max(level, req.level);
   }
+  // One pass at a time, so a concurrent caller waits for complete keys.
+  // Keys are built outside galois_mutex_: rotations keep running on the
+  // installed keys and only wait for the swap below.
+  std::lock_guard<std::mutex> build(galois_build_mutex_);
+  std::vector<std::pair<std::uint64_t, std::shared_ptr<const KswKey>>> built;
+  for (const auto& [exponent, level] : wanted) {
+    const auto have = find_galois_key(exponent);
+    if (have != nullptr && have->level >= level) continue;
+    RnsPoly s_g = automorphism(key_basis(sk_coeff_, level), exponent);
+    to_ntt(s_g);
+    built.emplace_back(exponent, std::make_shared<const KswKey>(
+                                     make_ksw_key(s_g, level)));
+  }
+  std::unique_lock<std::shared_mutex> lock(galois_mutex_);
+  for (auto& [exponent, key] : built) galois_keys_[exponent] = std::move(key);
+}
+
+GaloisKeyStats RnsBackend::galois_key_stats() const {
+  std::shared_lock<std::shared_mutex> lock(galois_mutex_);
+  GaloisKeyStats stats;
+  stats.keys = galois_keys_.size();
+  for (const auto& entry : galois_keys_) {
+    const KswKey& key = *entry.second;
+    for (std::size_t j = 0; j < key.digits.size(); ++j) {
+      for (int t = 0; t < 2; ++t) {
+        stats.bytes += (key.digits[j][t].buf.capacity_words() +
+                        key.shoup[j][t].capacity_words()) *
+                       sizeof(std::uint64_t);
+      }
+    }
+  }
+  return stats;
 }
 
 }  // namespace pphe

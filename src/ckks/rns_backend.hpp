@@ -108,8 +108,11 @@ class RnsBackend final : public HeBackend {
                     const Ciphertext& b) const override;
   void multiply_plain_acc(Ciphertext& acc, const Ciphertext& a,
                           const Plaintext& b) const override;
-  void ensure_galois_keys(std::span<const int> steps) override;
-  using HeBackend::ensure_galois_keys;  // braced-list overload
+  /// Builds each key over the digits and channels of its level only
+  /// (DESIGN.md §14): q_0..q_level plus the special prime.
+  void ensure_galois_keys(std::span<const GaloisKeyRequest> keys) override;
+  using HeBackend::ensure_galois_keys;  // full-level step overloads
+  GaloisKeyStats galois_key_stats() const override;
 
   /// Slot conjugation (automorphism X -> X^{2N-1}); not used by the CNNs but
   /// part of the scheme's public surface.
@@ -145,7 +148,10 @@ class RnsBackend final : public HeBackend {
 
  private:
   struct KswKey {
-    // digits[j] = (b_j, a_j), channels = all q primes + special, NTT form.
+    // Highest ciphertext level the key switches at: digits 0..level, each
+    // over channels q_0..q_level plus the special prime (last).
+    int level = 0;
+    // digits[j] = (b_j, a_j), NTT form.
     std::vector<std::array<RnsPoly, 2>> digits;
     // shoup[j] = Shoup quotients of digits[j], channel rows aligned with the
     // key polys: key material is the fixed operand of every key-switch inner
@@ -180,7 +186,17 @@ class RnsBackend final : public HeBackend {
 
   // -- key material ----------------------------------------------------
   void generate_keys();
-  KswKey make_ksw_key(const RnsPoly& target_ntt) const;
+  /// Channels 0..level plus the special channel of a poly that has every
+  /// channel (the secret key, or a key-switch target built from it).
+  RnsPoly key_basis(const RnsPoly& p, int level) const;
+  /// Switching key for `target_ntt` (NTT form over key_basis(level)): the
+  /// RLWE key b_j = -a_j s + e_j + p * target on digit j, mod Q_level * p.
+  KswKey make_ksw_key(const RnsPoly& target_ntt, int level) const;
+  /// The Galois key for `exponent`, or nullptr. The pointer keeps the key
+  /// alive even if ensure_galois_keys() replaces it meanwhile.
+  std::shared_ptr<const KswKey> find_galois_key(std::uint64_t exponent) const;
+  /// find_galois_key() for a rotation by `step`; throws if it is missing.
+  std::shared_ptr<const KswKey> galois_key(int step) const;
 
   // -- phased key switching (DESIGN.md §14) -----------------------------
   /// Digit decomposition of a coefficient-form poly at `level`, lifted to
@@ -197,6 +213,7 @@ class RnsBackend final : public HeBackend {
   /// Fresh zero accumulator in the raised basis at `level` (NTT form).
   ExtAccumulator ext_zero(int level) const;
   /// acc += <digits, key> in the raised basis (counts OpKind::kKswInner).
+  /// Throws Error(kLevelMismatch) when the digits sit above the key's level.
   /// `perm` != nullptr applies the NTT-domain automorphism permutation to
   /// the digit rows while gathering (hoisted rotation); nullptr runs the
   /// flat HAL kernels (relinearization / single key switch).
@@ -241,9 +258,11 @@ class RnsBackend final : public HeBackend {
   //  * ntt_perms_   — lazy automorphism permutations under ntt_perm_mutex_
   //                   (map nodes are stable, so references stay valid after
   //                   the lock is released);
-  //  * galois_keys_ — rotate()/conjugate() take a shared lock for the lookup,
-  //                   ensure_galois_keys() an exclusive one for inserts (keys
-  //                   are never erased, so looked-up references are stable).
+  //  * galois_keys_ — lookups copy the key's shared_ptr under a shared lock
+  //                   of galois_mutex_; ensure_galois_keys() builds new keys
+  //                   outside it (one pass at a time, galois_build_mutex_)
+  //                   and swaps them in under an exclusive lock, so a
+  //                   rotation in flight keeps the key it looked up.
   mutable Prng prng_;
   mutable std::mutex prng_mutex_;
   mutable std::map<std::uint64_t, std::vector<std::uint32_t>> ntt_perms_;
@@ -253,8 +272,10 @@ class RnsBackend final : public HeBackend {
   RnsPoly pk_b_, pk_a_;  // q channels, NTT
   PolyBuffer pk_b_shoup_, pk_a_shoup_;  // fixed operands of every encrypt
   KswKey relin_key_;
-  std::map<std::uint64_t, KswKey> galois_keys_;  // by automorphism exponent
+  // By automorphism exponent.
+  std::map<std::uint64_t, std::shared_ptr<const KswKey>> galois_keys_;
   mutable std::shared_mutex galois_mutex_;
+  std::mutex galois_build_mutex_;
 };
 
 }  // namespace pphe

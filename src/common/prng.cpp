@@ -1,5 +1,6 @@
 #include "common/prng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -44,6 +45,20 @@ std::uint64_t Prng::uniform_below(std::uint64_t bound) {
   for (;;) {
     const std::uint64_t r = next_u64();
     if (r >= threshold) return r % bound;
+  }
+}
+
+void Prng::uniform_fill(std::span<std::uint64_t> out, std::uint64_t bound) {
+  if (bound <= 1) {
+    std::fill(out.begin(), out.end(), 0);
+    return;
+  }
+  // uniform_below's rejection rule, with the division hoisted out.
+  const std::uint64_t threshold = (~bound + 1) % bound;  // 2^64 mod bound
+  for (auto& v : out) {
+    std::uint64_t r = next_u64();
+    while (r < threshold) r = next_u64();
+    v = r % bound;
   }
 }
 

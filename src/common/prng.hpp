@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace pphe {
 
@@ -23,6 +24,10 @@ class Prng {
 
   /// Uniform in [0, bound) without modulo bias (rejection sampling).
   std::uint64_t uniform_below(std::uint64_t bound);
+
+  /// Fills `out` with uniform_below(bound) draws — the same stream as
+  /// out.size() calls, with the rejection threshold computed once.
+  void uniform_fill(std::span<std::uint64_t> out, std::uint64_t bound);
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform_double();

@@ -157,7 +157,7 @@ HeModel::HeModel(HeBackend& backend, const ModelSpec& spec,
       break;
     } catch (const Error&) {
       stages_.clear();
-      rotation_steps_.clear();
+      galois_keys_.clear();
       if (input_level_ >= backend_.max_level()) throw;
       ++input_level_;
     }
@@ -249,7 +249,7 @@ void HeModel::plan() {
 
   int level = input_level_;
   double scale = delta;
-  std::set<int> steps;
+  std::map<int, int> step_levels;  // rotation step -> highest level_in
 
   // Analytic noise propagation (NoiseTracker, slot-domain absolute error of
   // the scaled values; divide by the running scale to get value error).
@@ -377,14 +377,15 @@ void HeModel::plan() {
       const auto& reference_groups =
           branches == 1 ? lp.groups : lp.branch_groups[0];
       lp.rot_mult = rot_mult;
+      // Every rotation of a linear stage runs at its input level.
+      const auto use_step = [&](std::size_t step) {
+        int& key_level = step_levels[static_cast<int>(step)];
+        key_level = std::max(key_level, lp.level_in);
+      };
       for (const auto& group : reference_groups) {
-        if (group.j != 0) {
-          steps.insert(static_cast<int>(g * group.j * rot_mult));
-        }
+        if (group.j != 0) use_step(g * group.j * rot_mult);
         for (const auto& term : group.terms) {
-          if (term.baby != 0) {
-            steps.insert(static_cast<int>(term.baby * rot_mult));
-          }
+          if (term.baby != 0) use_step(term.baby * rot_mult);
         }
       }
 
@@ -551,8 +552,10 @@ void HeModel::plan() {
   levels_used_ = input_level_ - level;
   PPHE_CHECK(level >= 0, "model depth exceeds the moduli chain");
 
-  rotation_steps_.assign(steps.begin(), steps.end());
-  backend_.ensure_galois_keys(rotation_steps_);
+  for (const auto& [step, key_level] : step_levels) {
+    galois_keys_.push_back({step, key_level});
+  }
+  backend_.ensure_galois_keys(galois_keys_);
 }
 
 // ---------------------------------------------------------------------------

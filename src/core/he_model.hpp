@@ -186,9 +186,19 @@ class HeModel {
   const HeModelOptions& options() const { return options_; }
   HeBackend& backend() const { return backend_; }
 
-  /// Rotation steps the compiled plan uses (Galois keys are generated for
-  /// exactly these during compilation).
-  const std::vector<int>& rotation_steps() const { return rotation_steps_; }
+  /// Galois keys the compiled plan needs, one per rotation step (ascending),
+  /// each at the highest input level of any stage that rotates by it.
+  /// Compilation ensures exactly these, in one call.
+  const std::vector<GaloisKeyRequest>& galois_keys() const {
+    return galois_keys_;
+  }
+  /// The steps of galois_keys().
+  std::vector<int> rotation_steps() const {
+    std::vector<int> steps;
+    steps.reserve(galois_keys_.size());
+    for (const GaloisKeyRequest& key : galois_keys_) steps.push_back(key.step);
+    return steps;
+  }
 
   /// Per-stage cost summary (Figs. 3/4 bench): diagonal counts, rotations,
   /// relinearizations, input level.
@@ -313,7 +323,7 @@ class HeModel {
   ModelSpec spec_;
   HeModelOptions options_;
   std::vector<StagePlan> stages_;
-  std::vector<int> rotation_steps_;
+  std::vector<GaloisKeyRequest> galois_keys_;
   std::size_t input_tile_ = 0;
   int input_level_ = 0;  // fresh ciphertexts are encrypted at this level
   int levels_used_ = 0;

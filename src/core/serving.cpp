@@ -79,8 +79,9 @@ ServeBatchOutcome serve_classify_batch(const RnsBackend& backend,
   // re-sends only the freshly re-encrypted inputs — never the key material,
   // which dwarfs every other object in the protocol. The op-counter
   // regression test pins kGaloisKeys to one bump per serve call regardless
-  // of how many attempts the fault plan forces.
-  model.backend().ensure_galois_keys(model.rotation_steps());
+  // of how many attempts the fault plan forces. The keys carry the plan's
+  // levels: bare steps would rebuild every key over the whole chain.
+  model.backend().ensure_galois_keys(model.galois_keys());
 
   // Partial batches ride in the same slot-packed layout padded with zero
   // images; their logits exist but are dropped before the outcome is built.

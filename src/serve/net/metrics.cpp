@@ -40,7 +40,7 @@ std::string render_prometheus(
     const StatsSnapshot& batch, const NetServerStats& net,
     const KeyRegistry::Stats& keys,
     const std::map<std::string, std::uint64_t>& backend_ops,
-    std::size_t queue_capacity) {
+    const GaloisKeyStats& galois_keys, std::size_t queue_capacity) {
   std::string out;
   out.reserve(4096);
 
@@ -168,6 +168,14 @@ std::string render_prometheus(
   head(out, "pphe_key_evicted_rejects_total", "counter",
        "requests refused with key_evicted (client must re-send keys)");
   line_u64(out, "pphe_key_evicted_rejects_total", net.key_evicted_rejects);
+
+  // --- evaluator key material ---------------------------------------------
+  head(out, "pphe_galois_keys", "gauge",
+       "Galois keys resident in the evaluator");
+  line_u64(out, "pphe_galois_keys", galois_keys.keys);
+  head(out, "pphe_galois_key_bytes", "gauge",
+       "bytes of resident Galois keys, precomputed tables included");
+  line_u64(out, "pphe_galois_key_bytes", galois_keys.bytes);
 
   // --- homomorphic-op counters (HeBackend OpKind) -------------------------
   head(out, "pphe_backend_ops_total", "counter",

@@ -459,6 +459,7 @@ NetServerStats NetServer::stats() const {
 std::string NetServer::metrics_text() const {
   return render_prometheus(batch_server_.snapshot(), stats(),
                            registry_.stats(), backend_.op_counts(),
+                           backend_.galois_key_stats(),
                            batch_server_.options().queue_capacity);
 }
 

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/prng.hpp"
@@ -301,6 +305,151 @@ TEST(RnsBackend, RotateFullCircleIsIdentity) {
   for (std::size_t i = 0; i < v.size(); i += 97) {
     ASSERT_NEAR(got[i], v[i], 8e-3);
   }
+}
+
+// --- level-trimmed Galois keys ---------------------------------------------
+
+/// Bytes of one key built for `level`: level + 1 digits of two polys over
+/// level + 2 channels (q_0..q_level and the special prime), plus a Shoup
+/// table of the same shape.
+std::uint64_t key_bytes_at(int level) {
+  const auto l = static_cast<std::uint64_t>(level);
+  return 2 * 2 * (l + 1) * (l + 2) * small().degree * 8;
+}
+
+ErrorCode error_code_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "expected a pphe::Error";
+  return ErrorCode::kGeneric;
+}
+
+/// Every rotating primitive, run on `ct` with the keys for steps 3 and 5:
+/// rotate, rotate_batch, rotate_sum, and a two-group linear_bsgs.
+void expect_rotations_decrypt(const RnsBackend& be, const Ciphertext& ct,
+                              const std::vector<double>& v) {
+  const std::size_t n = be.slot_count();
+  const auto at = [&](std::size_t i) { return v[i % n]; };
+  const auto rot = be.decrypt_decode(be.rotate(ct, 3));
+  const auto batch = be.rotate_batch(ct, {3, 5});
+  const auto b3 = be.decrypt_decode(batch[0]);
+  const auto b5 = be.decrypt_decode(batch[1]);
+  const std::vector<Ciphertext> cts{ct, ct};
+  const std::vector<int> steps{3, 5};
+  const auto sum = be.decrypt_decode(be.rotate_sum(cts, steps));
+
+  // out = w0 x + w1 rot(x, 3) + rot(w2 rot(x, 3), 5), w0/w1/w2 = 1/0.5/-0.25.
+  const auto weight = [&](double w) {
+    return be.encode(std::vector<double>(n, w), small().scale, ct.level());
+  };
+  const Plaintext w0 = weight(1.0), w1 = weight(0.5), w2 = weight(-0.25);
+  const std::vector<BsgsGroupSpec> groups{{0, {{0, &w0}, {3, &w1}}},
+                                          {5, {{3, &w2}}}};
+  const Ciphertext fused = be.linear_bsgs(ct, groups);
+  ASSERT_TRUE(fused.valid());
+  const auto lin = be.decrypt_decode(fused);
+  for (std::size_t i = 0; i < n; i += 29) {
+    ASSERT_NEAR(rot[i], at(i + 3), 8e-3) << "rotate, slot " << i;
+    ASSERT_NEAR(b3[i], at(i + 3), 8e-3) << "rotate_batch, slot " << i;
+    ASSERT_NEAR(b5[i], at(i + 5), 8e-3) << "rotate_batch, slot " << i;
+    ASSERT_NEAR(sum[i], at(i + 3) + at(i + 5), 1e-2) << "rotate_sum " << i;
+    const double want = at(i) + 0.5 * at(i + 3) - 0.25 * at(i + 8);
+    ASSERT_NEAR(lin[i], want, 1e-2) << "linear_bsgs, slot " << i;
+  }
+}
+
+TEST(RnsBackendKeyLevels, TrimmedKeyServesItsLevelAndBelow) {
+  RnsBackend be(small());
+  be.ensure_galois_keys(std::vector<GaloisKeyRequest>{{3, 2}, {5, 2}});
+  EXPECT_EQ(be.galois_key_stats().keys, 2u);
+  EXPECT_EQ(be.galois_key_stats().bytes, 2 * key_bytes_at(2));
+  const auto v = ramp(be.slot_count());
+  const auto ct = be.encrypt(be.encode(v, small().scale, 2));
+  expect_rotations_decrypt(be, ct, v);
+  expect_rotations_decrypt(be, be.mod_drop_to(ct, 1), v);
+}
+
+TEST(RnsBackendKeyLevels, UseAboveTheKeyLevelThrowsTypedError) {
+  RnsBackend be(small());
+  be.ensure_galois_keys(std::vector<GaloisKeyRequest>{{3, 2}, {5, 2}});
+  const std::size_t n = be.slot_count();
+  const auto ct = be.encrypt(be.encode(ramp(n), small().scale, 3));
+  EXPECT_EQ(error_code_of([&] { be.rotate(ct, 3); }),
+            ErrorCode::kLevelMismatch);
+  EXPECT_EQ(error_code_of([&] { be.rotate_batch(ct, {3, 5}); }),
+            ErrorCode::kLevelMismatch);
+  const std::vector<Ciphertext> cts{ct, ct};
+  const std::vector<int> steps{3, 5};
+  EXPECT_EQ(error_code_of([&] { be.rotate_sum(cts, steps); }),
+            ErrorCode::kLevelMismatch);
+  const Plaintext w =
+      be.encode(std::vector<double>(n, 1.0), small().scale, ct.level());
+  const std::vector<BsgsGroupSpec> groups{{5, {{3, &w}}}};
+  EXPECT_EQ(error_code_of([&] { be.linear_bsgs(ct, groups); }),
+            ErrorCode::kLevelMismatch);
+}
+
+TEST(RnsBackendKeyLevels, EnsureAtAHigherLevelRebuildsTheOneKey) {
+  RnsBackend be(small());
+  be.ensure_galois_keys(std::vector<GaloisKeyRequest>{{3, 2}});
+  be.ensure_galois_keys(std::vector<GaloisKeyRequest>{{3, 4}});
+  EXPECT_EQ(be.galois_key_stats().keys, 1u);
+  EXPECT_EQ(be.galois_key_stats().bytes, key_bytes_at(4));
+  // A lower request keeps the higher key; bare steps mean every level.
+  be.ensure_galois_keys(std::vector<GaloisKeyRequest>{{3, 1}});
+  EXPECT_EQ(be.galois_key_stats().bytes, key_bytes_at(4));
+  be.ensure_galois_keys({3, 5});
+  EXPECT_EQ(be.galois_key_stats().keys, 2u);
+  EXPECT_EQ(be.galois_key_stats().bytes, 2 * key_bytes_at(be.max_level()));
+  const auto v = ramp(be.slot_count());
+  expect_rotations_decrypt(
+      be, be.encrypt(be.encode(v, small().scale, be.max_level())), v);
+}
+
+TEST(RnsBackendKeyLevels, OneRequestKeepsTheHighestLevelOfAStep) {
+  RnsBackend be(small());
+  be.ensure_galois_keys(std::vector<GaloisKeyRequest>{{3, 1}, {3, 3}, {3, 2}});
+  EXPECT_EQ(be.op_count(OpKind::kGaloisKeys), 1u);
+  EXPECT_EQ(be.galois_key_stats().keys, 1u);
+  EXPECT_EQ(be.galois_key_stats().bytes, key_bytes_at(3));
+}
+
+TEST(RnsBackendConcurrency, RotationsSurviveARebuildAtAHigherLevel) {
+  // Rotations at level 1 keep running on the key they looked up while
+  // ensure_galois_keys replaces it three times, up to level 4.
+  RnsBackend be(small());
+  be.ensure_galois_keys(std::vector<GaloisKeyRequest>{{3, 1}});
+  const auto v = ramp(be.slot_count());
+  const auto ct = be.encrypt(be.encode(v, small().scale, 1));
+  constexpr int kWorkers = 3;
+  std::atomic<int> running{0};
+  std::atomic<bool> rebuilt{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kWorkers; ++t) {
+    workers.emplace_back([&] {
+      int rounds = 0;
+      while (!rebuilt.load() || rounds < 2) {
+        const auto got = be.decrypt_decode(be.rotate(ct, 3));
+        if (std::abs(got[7] - v[10]) > 8e-3) ++bad;
+        if (++rounds == 1) ++running;
+      }
+    });
+  }
+  while (running.load() < kWorkers) std::this_thread::yield();
+  for (int level = 2; level <= 4; ++level) {
+    be.ensure_galois_keys(std::vector<GaloisKeyRequest>{{3, level}});
+  }
+  rebuilt.store(true);
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(be.galois_key_stats().keys, 1u);
+  EXPECT_EQ(be.galois_key_stats().bytes, key_bytes_at(4));
+  const auto top = be.encrypt(be.encode(v, small().scale, 4));
+  EXPECT_NEAR(be.decrypt_decode(be.rotate(top, 3))[7], v[10], 8e-3);
 }
 
 }  // namespace

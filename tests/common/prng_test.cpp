@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 namespace pphe {
 namespace {
@@ -54,6 +55,22 @@ TEST(Prng, UniformBelowIsRoughlyUniform) {
   for (int i = 0; i < kDraws; ++i) ++counts[p.uniform_below(kBound)];
   for (const int c : counts) {
     EXPECT_NEAR(c, kDraws / static_cast<int>(kBound), 600);
+  }
+}
+
+TEST(Prng, UniformFillMatchesRepeatedUniformBelow) {
+  // 2^63 + 1 rejects almost half of all draws, so the stream only matches
+  // if uniform_fill applies the same rejection rule draw for draw.
+  for (const std::uint64_t bound :
+       {0ull, 1ull, 10ull, (1ull << 60) - 93, (1ull << 63) + 1}) {
+    Prng a(31), b(31);
+    std::vector<std::uint64_t> filled(4096);
+    a.uniform_fill(filled, bound);
+    for (std::size_t i = 0; i < filled.size(); ++i) {
+      ASSERT_EQ(filled[i], b.uniform_below(bound))
+          << "bound " << bound << " draw " << i;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "bound " << bound;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -10,6 +11,7 @@
 #include "ckks/rns_backend.hpp"
 #include "common/check.hpp"
 #include "common/prng.hpp"
+#include "core/models.hpp"
 
 namespace pphe {
 namespace {
@@ -165,6 +167,34 @@ TEST(HeModel, RotationStepsAreRegistered) {
     EXPECT_GT(s, 0);
     EXPECT_LT(s, static_cast<int>(backend.slot_count()));
   }
+}
+
+TEST(HeModel, Cnn1EncryptedWeightGaloisKeysAreLevelTrimmed) {
+  // The Table III plan (CNN1, encrypted weights, k = 3, fast profile)
+  // rotates only at the input levels of its linear stages, so each key is
+  // built for its stage's level instead of the whole 12-prime chain.
+  TrainedModel m;
+  m.arch = Arch::kCnn1;
+  m.activation = Activation::kSlaf;
+  m.network = build_network(Arch::kCnn1, Activation::kSlaf, 1);
+  const ModelSpec spec = compile_model(m);
+  RnsBackend backend(CkksParams::fast_profile());
+  HeModelOptions options;
+  options.encrypted_weights = true;
+  options.rns_branches = 3;
+  const HeModel model(backend, spec, options);
+
+  std::map<int, std::size_t> keys_per_level;
+  std::uint64_t want_bytes = 0;
+  for (const GaloisKeyRequest& key : model.galois_keys()) {
+    ++keys_per_level[key.level];
+    // level + 1 digits x (b, a) x level + 2 channels, plus the Shoup table.
+    const auto l = static_cast<std::uint64_t>(key.level);
+    want_bytes += 2 * 2 * (l + 1) * (l + 2) * backend.params().degree * 8;
+  }
+  EXPECT_EQ(keys_per_level, (std::map<int, std::size_t>{{5, 12}, {9, 66}}));
+  EXPECT_EQ(backend.galois_key_stats().keys, 78u);
+  EXPECT_EQ(backend.galois_key_stats().bytes, want_bytes);
 }
 
 TEST(HeModel, CostReportCountsStages) {

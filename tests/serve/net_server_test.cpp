@@ -258,6 +258,16 @@ TEST(NetServerTest, MetricsEndpointServesPrometheusTextOverRawHttp) {
             std::string::npos);
   EXPECT_NE(text.find("pphe_key_registrations_total 1"), std::string::npos);
   EXPECT_NE(text.find("pphe_backend_ops_total"), std::string::npos);
+  // Resident key material, as the backend reports it.
+  const GaloisKeyStats keys = rig().backend.galois_key_stats();
+  ASSERT_GT(keys.keys, 0u);
+  EXPECT_NE(text.find("# TYPE pphe_galois_keys gauge\npphe_galois_keys " +
+                      std::to_string(keys.keys) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE pphe_galois_key_bytes gauge\n"
+                      "pphe_galois_key_bytes " +
+                      std::to_string(keys.bytes) + "\n"),
+            std::string::npos);
   EXPECT_EQ(net.stats().http_scrapes, 1u);
 
   // Unknown paths 404 without disturbing the server.
