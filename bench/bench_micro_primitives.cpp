@@ -304,15 +304,18 @@ void BM_DyadicMulAccShoupIsa(benchmark::State& state,
 // Dense BSGS layer (DESIGN.md §14): three stacked dense 64->64 linear
 // stages with plaintext weights, evaluated end to end on the RNS backend.
 // `fused` runs the double-hoisted linear_bsgs path (one decomposition per
-// unique operand, one mod-down per giant group); `unfused` the legacy
-// per-rotation key-switch schedule. run_benches.sh gates fused >= 1.5x.
+// unique operand, one mod-down per giant group); `unfused` runs the same
+// model on UnhoistedRnsBackend, the no-hoist baseline: legacy sqrt split,
+// generic HeBackend schedule, one key switch per giant rotation.
+// run_benches.sh gates fused >= 1.5x unfused.
 struct DenseBsgsFixture {
   std::unique_ptr<RnsBackend> backend;
   std::unique_ptr<HeModel> model;
   std::vector<Ciphertext> input;
 
   explicit DenseBsgsFixture(bool fused)
-      : backend(std::make_unique<RnsBackend>(bench_params())) {
+      : backend(fused ? std::make_unique<RnsBackend>(bench_params())
+                      : std::make_unique<UnhoistedRnsBackend>(bench_params())) {
     Prng prng(97);
     ModelSpec spec;
     spec.name = fused ? "dense-bsgs-fused" : "dense-bsgs-unfused";
@@ -334,7 +337,6 @@ struct DenseBsgsFixture {
     HeModelOptions options;
     options.encrypted_weights = false;
     options.validate_inputs = false;
-    options.hoist_fusion = fused;
     model = std::make_unique<HeModel>(*backend, spec, options);
     std::vector<float> img(64);
     for (auto& v : img) v = static_cast<float>(prng.uniform_double());

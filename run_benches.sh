@@ -285,8 +285,9 @@ EOF
 
   # Hoisted BSGS gate: the double-hoisted dense-layer path (one digit
   # decomposition per unique operand, one mod-down per giant group) must be
-  # at least 1.5x faster than the legacy per-rotation key-switch schedule
-  # measured in the SAME run (same fixture, same host load). Skips when the
+  # at least 1.5x faster than the no-hoist baseline, the same model on
+  # UnhoistedRnsBackend (legacy sqrt split, one key switch per giant
+  # rotation), measured in the SAME run (same host load). Skips when the
   # rows are absent (older binary, filtered run) — schema-tolerant like the
   # drift report above.
   echo "==================================================================="
@@ -317,8 +318,8 @@ if not fused or not unfused:
           "BENCH_micro.json")
     raise SystemExit(0)
 speedup = unfused / fused
-print(f"dense BSGS layer: hoisted path is {speedup:.2f}x the unfused schedule")
-assert speedup >= 1.5, f"hoisted BSGS speedup {speedup:.2f}x < 1.5x unfused"
+print(f"dense BSGS layer: hoisted path is {speedup:.2f}x the no-hoist baseline")
+assert speedup >= 1.5, f"hoisted BSGS speedup {speedup:.2f}x < 1.5x no-hoist baseline"
 EOF
   echo "hoisted BSGS gate OK"
   echo

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cmath>
@@ -8,8 +9,10 @@
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "ckks/params.hpp"
@@ -132,13 +135,18 @@ class Plaintext {
   int level_ = 0;
 };
 
-/// One term of a BSGS group: multiply the baby-rotated input by a plaintext
-/// weight. `baby_step` is the FULL slot rotation (baby index already
-/// multiplied by the layer's rotation multiplier); 0 means the unrotated
-/// input. The pointed-to plaintext must outlive the linear_bsgs call.
+/// A weight in the form a linear stage multiplies/adds it: encoded
+/// plaintext (CryptoNets setting) or encrypted ciphertext (the paper's §VI
+/// encrypted-weights setting).
+using WeightOperand = std::variant<Plaintext, Ciphertext>;
+
+/// One term of a BSGS group: multiply the baby-rotated input by a weight.
+/// `baby_step` is the FULL slot rotation (baby index already multiplied by
+/// the layer's rotation multiplier); 0 means the unrotated input. The
+/// pointed-to weight must outlive the linear_bsgs call.
 struct BsgsTerm {
   int baby_step = 0;
-  const Plaintext* weight = nullptr;
+  const WeightOperand* weight = nullptr;
 };
 
 /// One giant group of a BSGS diagonal layer: the group's weighted baby sum
@@ -282,23 +290,66 @@ class HeBackend {
     return total;
   }
 
-  /// True when linear_bsgs() is implemented (the planner uses this to pick
-  /// the fused cost model before compiling weights).
+  /// True when linear_bsgs() runs a double-hoisted kernel (the planner uses
+  /// this to pick the fused cost model before compiling weights).
   virtual bool supports_hoisted_bsgs() const { return false; }
 
-  /// Fully fused BSGS diagonal layer over PLAINTEXT weights (double
-  /// hoisting, DESIGN.md §14): accumulates every baby-step key-switch inner
-  /// product in the raised basis Q∪{p} and pays one mod-down epilogue per
-  /// giant group plus one for the layer, instead of one per rotation.
-  /// Returns an invalid handle when the backend (or this particular operand
-  /// set) does not support the fused path — callers must fall back to the
-  /// rotate/multiply_plain_acc loop. The result is size 2 (no
-  /// relinearization needed) at scale x.scale * weight_scale.
+  /// One BSGS diagonal layer, out = sum_j rot(sum_b w_{j,b} * rot(x, b), j),
+  /// over plaintext or ciphertext weights. This default is the generic
+  /// schedule: one rotate_batch for the baby steps, a multiply-accumulate per
+  /// term, a relinearization per giant group, one rotate_sum over the giant
+  /// groups and a final relinearization. Backends may override it with a
+  /// fused kernel (double hoisting, DESIGN.md §14) and call this default for
+  /// operand sets the kernel does not take. The result is size 2 at scale
+  /// x.scale * weight_scale.
   virtual Ciphertext linear_bsgs(const Ciphertext& x,
                                  std::span<const BsgsGroupSpec> groups) const {
-    (void)x;
-    (void)groups;
-    return {};
+    const long long slots = static_cast<long long>(slot_count());
+    const auto rotates = [slots](int step) { return step % slots != 0; };
+    std::set<int> baby_set;
+    for (const BsgsGroupSpec& grp : groups) {
+      for (const BsgsTerm& term : grp.terms) {
+        if (rotates(term.baby_step)) baby_set.insert(term.baby_step);
+      }
+    }
+    const std::vector<int> baby_steps(baby_set.begin(), baby_set.end());
+    const std::vector<Ciphertext> babies = rotate_batch(x, baby_steps);
+    const auto rotated = [&](int step) -> const Ciphertext& {
+      if (!rotates(step)) return x;
+      return babies[static_cast<std::size_t>(
+          std::lower_bound(baby_steps.begin(), baby_steps.end(), step) -
+          baby_steps.begin())];
+    };
+
+    Ciphertext total;
+    std::vector<Ciphertext> giant_cts;
+    std::vector<int> giant_steps;
+    for (const BsgsGroupSpec& grp : groups) {
+      Ciphertext acc;
+      for (const BsgsTerm& term : grp.terms) {
+        PPHE_CHECK(term.weight != nullptr, "linear_bsgs: null weight");
+        if (const auto* pt = std::get_if<Plaintext>(term.weight)) {
+          multiply_plain_acc(acc, rotated(term.baby_step), *pt);
+        } else {
+          multiply_acc(acc, rotated(term.baby_step),
+                       std::get<Ciphertext>(*term.weight));
+        }
+      }
+      if (!acc.valid()) continue;
+      if (rotates(grp.giant_step)) {
+        // Giant rotations need size-2 inputs; rotate_sum pays them together.
+        giant_cts.push_back(relinearize(acc));
+        giant_steps.push_back(grp.giant_step);
+      } else {
+        total = total.valid() ? add(total, acc) : std::move(acc);
+      }
+    }
+    if (!giant_cts.empty()) {
+      Ciphertext summed = rotate_sum(giant_cts, giant_steps);
+      total = total.valid() ? add(total, summed) : std::move(summed);
+    }
+    PPHE_CHECK(total.valid(), "linear_bsgs: the layer has no terms");
+    return relinearize(total);
   }
 
   /// Ciphertext health validation: checks the handle's mirrored metadata and

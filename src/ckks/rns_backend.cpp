@@ -996,7 +996,7 @@ Ciphertext RnsBackend::rotate_sum(std::span<const Ciphertext> cts,
 
 Ciphertext RnsBackend::linear_bsgs(const Ciphertext& x,
                                    std::span<const BsgsGroupSpec> groups) const {
-  if (groups.empty()) return {};
+  if (groups.empty()) return HeBackend::linear_bsgs(x, groups);
   const RnsCtBody& bx = body(x);
   PPHE_CHECK(bx.polys.size() == 2,
              "linear_bsgs expects a size-2 input (relinearize first)");
@@ -1012,25 +1012,30 @@ Ciphertext RnsBackend::linear_bsgs(const Ciphertext& x,
   };
 
   // Eligibility scan: the fused path multiplies weights against raised-basis
-  // accumulators, so every weight must carry the special channel, sit at (or
-  // above) the input level, and share one scale. Anything else returns an
-  // invalid handle and the caller falls back to the generic loop.
+  // accumulators, so every weight must be a plaintext that carries the
+  // special channel, sits at (or above) the input level, and shares one
+  // scale. Any other operand set runs the generic schedule.
   double w_scale = 0.0;
   for (const BsgsGroupSpec& grp : groups) {
     for (const BsgsTerm& term : grp.terms) {
-      if (term.weight == nullptr || !term.weight->valid()) return {};
-      if (term.weight->level() < level) return {};
-      if (w_scale == 0.0) {
-        w_scale = term.weight->scale();
-      } else if (relative_diff(w_scale, term.weight->scale()) > 1e-9) {
-        return {};
+      const Plaintext* pt =
+          term.weight ? std::get_if<Plaintext>(term.weight) : nullptr;
+      if (pt == nullptr || !pt->valid() || pt->level() < level) {
+        return HeBackend::linear_bsgs(x, groups);
       }
-      const RnsPtBody& w = body(*term.weight);
-      if (!w.poly.has_special || !w.poly.ntt) return {};
-      if (w.poly.channels() < channels) return {};
+      if (w_scale == 0.0) {
+        w_scale = pt->scale();
+      } else if (relative_diff(w_scale, pt->scale()) > 1e-9) {
+        return HeBackend::linear_bsgs(x, groups);
+      }
+      const RnsPtBody& w = body(*pt);
+      if (!w.poly.has_special || !w.poly.ntt ||
+          w.poly.channels() < channels) {
+        return HeBackend::linear_bsgs(x, groups);
+      }
     }
   }
-  if (w_scale == 0.0) return {};
+  if (w_scale == 0.0) return HeBackend::linear_bsgs(x, groups);
 
   trace::Span span("linear_bsgs", "kernel");
   span.attr("groups", static_cast<double>(groups.size()));
@@ -1079,7 +1084,7 @@ Ciphertext RnsBackend::linear_bsgs(const Ciphertext& x,
         by_baby[b].emplace_back(g, &term);
         continue;
       }
-      const RnsPtBody& w = body(*term.weight);
+      const RnsPtBody& w = body(std::get<Plaintext>(*term.weight));
       const PolyBuffer& wq = pt_shoup(w);
       if (g_s1[g].buf.empty()) {
         g_s1[g] = zero_poly(level, /*with_special=*/false, /*ntt=*/true);
@@ -1125,7 +1130,7 @@ Ciphertext RnsBackend::linear_bsgs(const Ciphertext& x,
     });
     for (const auto& use : uses) {
       const std::size_t g = use.first;
-      const RnsPtBody& w = body(*use.second->weight);
+      const RnsPtBody& w = body(std::get<Plaintext>(*use.second->weight));
       const PolyBuffer& wq = pt_shoup(w);
       ExtAccumulator& ext = ext_of(g);
       RnsPoly& s0 = g_s0[g];

@@ -54,7 +54,7 @@ struct RnsPtBody {
 /// Residue channels are independent, which is the parallelism the paper's
 /// CNN-HE-RNS models exploit; channel loops run through the global thread
 /// pool.
-class RnsBackend final : public HeBackend {
+class RnsBackend : public HeBackend {
  public:
   explicit RnsBackend(const CkksParams& params);
 
@@ -99,8 +99,8 @@ class RnsBackend final : public HeBackend {
                         std::span<const int> steps) const override;
   bool supports_hoisted_bsgs() const override { return true; }
   /// Fully fused BSGS diagonal layer (double hoisting, DESIGN.md §14). Only
-  /// plaintext weights carrying the special channel qualify; otherwise
-  /// returns an invalid handle and the caller falls back.
+  /// plaintext weights carrying the special channel qualify; any other
+  /// operand set runs the generic HeBackend schedule.
   Ciphertext linear_bsgs(const Ciphertext& x,
                          std::span<const BsgsGroupSpec> groups) const override;
   /// Fused acc += a (x) b without materializing the tensor product.
@@ -276,6 +276,24 @@ class RnsBackend final : public HeBackend {
   std::map<std::uint64_t, std::shared_ptr<const KswKey>> galois_keys_;
   mutable std::shared_mutex galois_mutex_;
   std::mutex galois_build_mutex_;
+};
+
+/// RnsBackend without double hoisting: plans take the legacy sqrt split, and
+/// linear stages run the generic HeBackend schedule with one key switch per
+/// giant rotation. The reference schedule the dense-BSGS bench and the
+/// fusion tests measure the fused path against.
+class UnhoistedRnsBackend final : public RnsBackend {
+ public:
+  using RnsBackend::RnsBackend;
+  bool supports_hoisted_bsgs() const override { return false; }
+  Ciphertext linear_bsgs(const Ciphertext& x,
+                         std::span<const BsgsGroupSpec> groups) const override {
+    return HeBackend::linear_bsgs(x, groups);
+  }
+  Ciphertext rotate_sum(std::span<const Ciphertext> cts,
+                        std::span<const int> steps) const override {
+    return HeBackend::rotate_sum(cts, steps);
+  }
 };
 
 }  // namespace pphe

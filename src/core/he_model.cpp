@@ -25,8 +25,21 @@ std::size_t next_pow2(std::size_t x) {
   return p;
 }
 
-double close_enough(double a, double b) {
+bool close_enough(double a, double b) {
   return std::abs(a - b) <= 1e-6 * std::max(std::abs(a), std::abs(b));
+}
+
+/// One power-of-two tile covering every linear stage's input and output
+/// dimension (see DESIGN.md §4).
+std::size_t model_tile(const ModelSpec& spec) {
+  std::size_t tile = 1;
+  for (const auto& stage : spec.stages) {
+    if (stage.kind == ModelSpec::Stage::Kind::kLinear) {
+      tile = std::max(tile, next_pow2(std::max(stage.linear.in_dim,
+                                               stage.linear.out_dim)));
+    }
+  }
+  return tile;
 }
 
 /// Applies any armed eval.input fault to `ct` in place: a limb bit flip on a
@@ -114,13 +127,7 @@ void WeightOperandCache::clear() {
 
 void HeModel::validate_batch(const HeBackend& backend, const ModelSpec& spec,
                              std::size_t batch) {
-  std::size_t tile = 1;
-  for (const auto& stage : spec.stages) {
-    if (stage.kind == ModelSpec::Stage::Kind::kLinear) {
-      tile = std::max(tile, next_pow2(std::max(stage.linear.in_dim,
-                                               stage.linear.out_dim)));
-    }
-  }
+  const std::size_t tile = model_tile(spec);
   const std::size_t slots = backend.slot_count();
   const std::size_t max_batch = tile <= slots ? slots / tile : 0;
   const std::string allowed =
@@ -207,13 +214,7 @@ void HeModel::plan() {
   // batch > 1:  interleaved packing (image index = slot mod batch) makes a
   //             rotation by step*batch act as a per-image feature rotation
   //             with period slots/batch, so the tile is widened to that.
-  std::size_t tile = 1;
-  for (const auto& stage : spec_.stages) {
-    if (stage.kind == ModelSpec::Stage::Kind::kLinear) {
-      tile = std::max(tile, next_pow2(std::max(stage.linear.in_dim,
-                                               stage.linear.out_dim)));
-    }
-  }
+  std::size_t tile = model_tile(spec_);
   const std::size_t batch = options_.batch;
   validate_batch(backend_, spec_, batch);
   std::size_t rot_mult = 1;
@@ -275,9 +276,8 @@ void HeModel::plan() {
   // RotationPlan cost model (fused mode needs plaintext weights and a
   // backend with a raised-basis accumulator); otherwise the legacy
   // sqrt-biased heuristic inside RotationPlan applies.
-  const bool fuse_stages = options_.hoist_fusion &&
-                           !options_.encrypted_weights &&
-                           backend_.supports_hoisted_bsgs();
+  const bool fuse_stages =
+      !options_.encrypted_weights && backend_.supports_hoisted_bsgs();
   std::size_t log_degree = 0;
   while ((std::size_t{1} << (log_degree + 1)) <= backend_.params().degree) {
     ++log_degree;
@@ -364,18 +364,13 @@ void HeModel::plan() {
         return out;
       };
 
-      if (branches == 1) {
-        lp.groups = build_groups(first_linear ? branch_factor[0] : 1.0);
-      } else {
-        lp.branch_groups.resize(branches);
-        for (std::size_t m = 0; m < branches; ++m) {
-          lp.branch_groups[m] = build_groups(branch_factor[m]);
-        }
+      lp.branch_groups.resize(branches);
+      for (std::size_t m = 0; m < branches; ++m) {
+        lp.branch_groups[m] = build_groups(branch_factor[m]);
       }
 
       // Rotation steps: babies and giants actually present.
-      const auto& reference_groups =
-          branches == 1 ? lp.groups : lp.branch_groups[0];
+      const auto& reference_groups = lp.branch_groups[0];
       lp.rot_mult = rot_mult;
       // Every rotation of a linear stage runs at its input level.
       const auto use_step = [&](std::size_t step) {
@@ -391,10 +386,8 @@ void HeModel::plan() {
 
       // Noise propagation through this stage (heuristic upper bound).
       {
-        const auto& ref_groups =
-            branches == 1 ? lp.groups : lp.branch_groups[0];
         std::size_t giant_groups = 0;
-        for (const auto& grp : ref_groups) {
+        for (const auto& grp : reference_groups) {
           if (grp.j != 0) ++giant_groups;
         }
         double wmax = 0.0;
@@ -601,117 +594,32 @@ Ciphertext HeModel::run_linear_single(
                       ", plan expects 2^" +
                       std::to_string(std::log2(plan.scale_in)) + ")");
 
-  // Double-hoisted fused path (DESIGN.md §14): hand the whole group/term
-  // table to the backend, which accumulates every baby inner product in the
-  // raised basis and pays ONE mod-down per giant group plus a layer
-  // epilogue. The backend declines (returns an invalid handle) when an
-  // operand is not eligible — plaintext missing the special channel, scale
-  // mismatch, weight level below the input — and we fall back to the
-  // generic loop below; missing Galois keys still throw inside.
-  if (plan.fused && backend_.supports_hoisted_bsgs()) {
-    std::vector<BsgsGroupSpec> specs;
-    specs.reserve(groups.size());
-    bool plain = true;
-    for (const auto& group : groups) {
-      BsgsGroupSpec spec;
-      spec.giant_step =
-          static_cast<int>(plan.giant * group.j * plan.rot_mult);
-      spec.terms.reserve(group.terms.size());
-      for (const auto& term : group.terms) {
-        const auto* pt = std::get_if<Plaintext>(&term.weight);
-        if (pt == nullptr) {
-          plain = false;
-          break;
-        }
-        spec.terms.push_back(
-            {static_cast<int>(term.baby * plan.rot_mult), pt});
-      }
-      if (!plain) break;
-      specs.push_back(std::move(spec));
-    }
-    if (plain) {
-      Ciphertext fused = backend_.linear_bsgs(x, specs);
-      if (fused.valid()) return fused;
-    }
-  }
-
-  // All baby rotations of x at once (hoisted key switching in the backend).
-  // Logical steps scale by rot_mult under the interleaved batch layout.
-  std::set<std::size_t> baby_steps;
+  // The backend schedules the whole layer: RNS runs its double-hoisted
+  // kernel on fused plaintext plans (DESIGN.md §14), anything else the
+  // generic HeBackend schedule.
+  std::vector<BsgsGroupSpec> specs;
+  specs.reserve(groups.size());
   for (const auto& group : groups) {
+    BsgsGroupSpec& spec = specs.emplace_back();
+    spec.giant_step = static_cast<int>(plan.giant * group.j * plan.rot_mult);
+    spec.terms.reserve(group.terms.size());
     for (const auto& term : group.terms) {
-      if (term.baby != 0) baby_steps.insert(term.baby);
+      spec.terms.push_back(
+          {static_cast<int>(term.baby * plan.rot_mult), &term.weight});
     }
   }
-  std::map<std::size_t, Ciphertext> baby;
-  {
-    std::vector<int> steps;
-    steps.reserve(baby_steps.size());
-    for (const std::size_t b : baby_steps) {
-      steps.push_back(static_cast<int>(b * plan.rot_mult));
-    }
-    auto rotated = backend_.rotate_batch(x, steps);
-    std::size_t idx = 0;
-    for (const std::size_t b : baby_steps) {
-      baby.emplace(b, std::move(rotated[idx++]));
-    }
-  }
-  auto rotated = [&](std::size_t b) -> const Ciphertext& {
-    return b == 0 ? x : baby.at(b);
-  };
-
-  Ciphertext total;
-  std::vector<Ciphertext> giant_cts;
-  std::vector<int> giant_steps;
-  for (const auto& group : groups) {
-    Ciphertext acc;
-    for (const auto& term : group.terms) {
-      if (std::holds_alternative<Plaintext>(term.weight)) {
-        backend_.multiply_plain_acc(acc, rotated(term.baby),
-                                    std::get<Plaintext>(term.weight));
-      } else {
-        backend_.multiply_acc(acc, rotated(term.baby),
-                              std::get<Ciphertext>(term.weight));
-      }
-    }
-    if (group.j != 0) {
-      // Giant-step rotation needs a size-2 ciphertext.
-      acc = backend_.relinearize(acc);
-      const int step =
-          static_cast<int>(plan.giant * group.j * plan.rot_mult);
-      if (options_.hoist_fusion) {
-        // Defer: all giant rotations share one raised-basis accumulator and
-        // one mod-down epilogue in rotate_sum.
-        giant_cts.push_back(std::move(acc));
-        giant_steps.push_back(step);
-        continue;
-      }
-      acc = backend_.rotate(acc, step);
-    }
-    total = total.valid() ? backend_.add(total, acc) : std::move(acc);
-  }
-  if (!giant_cts.empty()) {
-    Ciphertext summed = backend_.rotate_sum(giant_cts, giant_steps);
-    total = total.valid() ? backend_.add(total, summed) : std::move(summed);
-  }
-  PPHE_CHECK(total.valid(), "linear stage produced no terms");
-  return backend_.relinearize(total);
+  return backend_.linear_bsgs(x, specs);
 }
 
 Ciphertext HeModel::run_linear(
     const LinearPlan& plan, const std::vector<Ciphertext>& branch_inputs) const {
+  PPHE_CHECK(branch_inputs.size() == plan.branch_groups.size(),
+             "branch count mismatch");
   Ciphertext y;
-  if (!plan.branch_groups.empty()) {
-    PPHE_CHECK(branch_inputs.size() == plan.branch_groups.size(),
-               "branch count mismatch");
-    for (std::size_t m = 0; m < plan.branch_groups.size(); ++m) {
-      Ciphertext ym =
-          run_linear_single(plan, plan.branch_groups[m], branch_inputs[m]);
-      y = y.valid() ? backend_.add(y, ym) : std::move(ym);
-    }
-  } else {
-    PPHE_CHECK(branch_inputs.size() == 1, "unexpected branch inputs");
-    y = run_linear_single(plan, plan.groups, branch_inputs[0]);
+  for (std::size_t m = 0; m < plan.branch_groups.size(); ++m) {
+    Ciphertext ym =
+        run_linear_single(plan, plan.branch_groups[m], branch_inputs[m]);
+    y = y.valid() ? backend_.add(y, ym) : std::move(ym);
   }
   y = apply_rescale(y);
   PPHE_CHECK(y.level() == plan.level_out, "linear output level mismatch");
@@ -859,8 +767,7 @@ std::vector<Ciphertext> HeModel::encrypt_images(
   const int top = input_level_;
 
   // Quantize to pixel_levels and decompose into digits (base digit_base_).
-  const std::size_t branches = std::max<std::size_t>(
-      stages_.front().linear.branch_groups.size(), 1);
+  const std::size_t branches = stages_.front().linear.branch_groups.size();
   std::vector<std::vector<double>> digit_vecs(
       branches, std::vector<double>(slots, 0.0));
   for (std::size_t img = 0; img < images.size(); ++img) {
@@ -1001,14 +908,12 @@ InferenceResult HeModel::infer(std::span<const float> image) const {
 
 std::vector<HeModel::StageCost> HeModel::cost_report() const {
   std::vector<StageCost> report;
-  std::size_t stage_index = 0;
   for (const auto& stage : stages_) {
     StageCost cost;
     if (stage.is_linear) {
       const LinearPlan& lp = stage.linear;
       cost.name = stage.name;
-      const auto& groups =
-          lp.branch_groups.empty() ? lp.groups : lp.branch_groups[0];
+      const auto& groups = lp.branch_groups[0];
       std::set<std::size_t> babies;
       std::size_t giants = 0;
       for (const auto& group : groups) {
@@ -1033,13 +938,11 @@ std::vector<HeModel::StageCost> HeModel::cost_report() const {
         // Single-hoisted babies each pay a mod-down; giants share one
         // rotate_sum epilogue when the backend hoists, else one each. Relins
         // that key-switch (encrypted weights) add their own on top.
-        const bool shared_epilogue =
-            options_.hoist_fusion && backend_.supports_hoisted_bsgs();
+        const bool shared_epilogue = backend_.supports_hoisted_bsgs();
         cost.moddowns =
             babies.size() + (shared_epilogue ? (giants != 0 ? 1 : 0) : giants);
       }
-      const std::size_t branches =
-          lp.branch_groups.empty() ? 1 : lp.branch_groups.size();
+      const std::size_t branches = lp.branch_groups.size();
       cost.diagonals *= branches;
       cost.rotations *= branches;
       cost.relins *= branches;
@@ -1057,7 +960,6 @@ std::vector<HeModel::StageCost> HeModel::cost_report() const {
       cost.scale_in = ap.scale_in;
     }
     report.push_back(std::move(cost));
-    ++stage_index;
   }
   return report;
 }

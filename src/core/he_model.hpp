@@ -7,18 +7,12 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "ckks/backend.hpp"
 #include "core/models.hpp"
 
 namespace pphe {
-
-/// A weight in the form a compiled model multiplies/adds it: encoded
-/// plaintext (CryptoNets setting) or encrypted ciphertext (the paper's §VI
-/// encrypted-weights setting).
-using WeightOperand = std::variant<Plaintext, Ciphertext>;
 
 /// Encode-once cache of weight operands, content-addressed by
 /// (backend, encrypted?, scale, level, values): each distinct weight vector
@@ -100,14 +94,6 @@ struct HeModelOptions {
   /// (limb layout, NTT form, residue ranges, wire integrity digest). Off only
   /// for benches that want the unguarded number.
   bool validate_inputs = true;
-  /// Double-hoisted key switching (DESIGN.md §14): linear stages with
-  /// plaintext weights run through the backend's fused linear_bsgs path (one
-  /// digit decomposition per unique operand, one mod-down per giant group),
-  /// the baby/giant split is re-derived from the key-switch cost model, and
-  /// giant-group rotations on the generic path share one rotate_sum
-  /// epilogue. Off = the legacy per-rotation key-switch schedule (kept as
-  /// the bench baseline).
-  bool hoist_fusion = true;
   /// Noise-budget guardrail: eval() refuses to run (Error(kNoiseBudget))
   /// when the budget the logits would come out with — the plan's output
   /// budget minus any deficit the inputs arrived with — falls below this
@@ -243,9 +229,10 @@ class HeModel {
   struct LinearPlan {
     std::size_t in_dim = 0, out_dim = 0, tile = 0, giant = 0;
     std::size_t rot_mult = 1;  // slot stride per logical rotation step
-    /// Stage compiled for the double-hoisted linear_bsgs path (plaintext
-    /// weights, backend support, hoist_fusion on). Runtime still falls back
-    /// to the generic loop when the backend declines the operand set.
+    /// True when the giant size came from the double-hoisted cost model
+    /// (plaintext weights on a backend that supports_hoisted_bsgs()); the
+    /// backend's linear_bsgs decides at run time whether its fused kernel
+    /// takes the operands.
     bool fused = false;
     // Group j -> baby step b -> pre-rotated weight operand for diagonal
     // i = giant*j + b (absent diagonals are skipped).
@@ -257,13 +244,12 @@ class HeModel {
       std::size_t j = 0;
       std::vector<Term> terms;
     };
-    std::vector<Group> groups;
+    // One group table per input branch: rns_branches entries on the first
+    // linear stage (branch weights pre-scaled per branch), one elsewhere.
+    std::vector<std::vector<Group>> branch_groups;
     WeightOperand bias;
     int level_in = 0, level_out = 0;
     double scale_in = 0.0, scale_out = 0.0;
-    // Branch weights are pre-scaled per branch; branch b's groups are stored
-    // separately only for the first linear stage when rns_branches > 1.
-    std::vector<std::vector<Group>> branch_groups;
   };
 
   struct ActivationPlan {

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <memory>
+#include <sstream>
+#include <variant>
 
 #include "ckks/big_backend.hpp"
 #include "ckks/rns_backend.hpp"
@@ -215,6 +217,101 @@ TEST_P(BackendProperty, MismatchedScaleAddThrows) {
   const Ciphertext cb = backend_->encrypt(pb);
   EXPECT_THROW(backend_->add(ca, cb), Error);
 }
+
+// linear_bsgs contract: every backend returns the whole layer for any
+// operand set, through its fused kernel where it has one and the generic
+// HeBackend schedule otherwise. The layer below has two groups:
+//   out = w0 x + w1 rot(x, 3) + rot(w2 rot(x, 3), 5).
+class LinearBsgsContract : public BackendProperty {
+ protected:
+  void SetUp() override {
+    BackendProperty::SetUp();
+    backend_->ensure_galois_keys({3, 5});
+    Prng prng(99);
+    for (auto& w : w_) {
+      w.resize(slots_);
+      for (double& v : w) v = prng.uniform_double() * 2.0 - 1.0;
+    }
+    for (std::size_t i = 0; i < slots_; ++i) {
+      want_.push_back(w_[0][i] * a_[i] + w_[1][i] * a_[(i + 3) % slots_] +
+                      w_[2][(i + 5) % slots_] * a_[(i + 8) % slots_]);
+    }
+  }
+
+  WeightOperand weight(std::size_t t, bool encrypted, double scale,
+                       int level) const {
+    const Plaintext pt = backend_->encode(w_[t], scale, level);
+    if (encrypted) return backend_->encrypt(pt);
+    return pt;
+  }
+
+  std::vector<BsgsGroupSpec> layer(const std::vector<WeightOperand>& w) const {
+    return {{0, {{0, &w[0]}, {3, &w[1]}}}, {5, {{3, &w[2]}}}};
+  }
+
+  std::vector<double> w_[3];
+  std::vector<double> want_;
+};
+
+TEST_P(LinearBsgsContract, ReturnsTheLayerForPlainAndEncryptedWeights) {
+  const double delta = backend_->params().scale;
+  const int top = backend_->max_level();
+  const Ciphertext x = encrypt(a_);
+  for (const bool encrypted : {false, true}) {
+    SCOPED_TRACE(encrypted ? "ciphertext weights" : "plaintext weights");
+    const std::vector<WeightOperand> w{weight(0, encrypted, delta, top),
+                                       weight(1, encrypted, delta, top),
+                                       weight(2, encrypted, delta, top)};
+    const Ciphertext out = backend_->linear_bsgs(x, layer(w));
+    ASSERT_TRUE(out.valid());
+    EXPECT_EQ(out.size(), 2u);
+    EXPECT_DOUBLE_EQ(out.scale(), delta * delta);
+    expect_close(out, want_, 2e-2);
+    // The fused kernel (RNS, plaintext weights) and the generic schedule
+    // compute the same layer.
+    const Ciphertext generic = backend_->HeBackend::linear_bsgs(x, layer(w));
+    expect_close(generic, backend_->decrypt_decode(out), 2e-2);
+  }
+}
+
+// Only RNS has a fused kernel that can decline an operand set.
+class LinearBsgsRns : public LinearBsgsContract {};
+
+TEST_P(LinearBsgsRns, IneligiblePlaintextRunsTheGenericSchedule) {
+  const auto& rns = dynamic_cast<const RnsBackend&>(*backend_);
+  const double delta = backend_->params().scale;
+  const int top = backend_->max_level();
+  // A plaintext read back from the wire lacks the key-switching channel the
+  // fused kernel accumulates against.
+  std::stringstream wire;
+  write_plaintext(wire, rns, std::get<Plaintext>(weight(1, false, delta, top)));
+  const std::vector<WeightOperand> w{weight(0, false, delta, top),
+                                     read_plaintext(wire, rns),
+                                     weight(2, false, delta, top)};
+  const Ciphertext out = backend_->linear_bsgs(encrypt(a_), layer(w));
+  ASSERT_TRUE(out.valid());
+  expect_close(out, want_, 2e-2);
+}
+
+TEST_P(LinearBsgsContract, UnusableWeightsThrowInsteadOfAnEmptyHandle) {
+  // No schedule can multiply a plaintext below the ciphertext's level or sum
+  // products at two scales; the call must say so, not hand back nothing.
+  const double delta = backend_->params().scale;
+  const int top = backend_->max_level();
+  const Ciphertext x = encrypt(a_);
+  const std::vector<WeightOperand> below{weight(0, false, delta, top - 1),
+                                         weight(1, false, delta, top - 1),
+                                         weight(2, false, delta, top - 1)};
+  EXPECT_THROW(backend_->linear_bsgs(x, layer(below)), Error);
+  const std::vector<WeightOperand> mixed{weight(0, false, delta, top),
+                                         weight(1, false, 2.0 * delta, top),
+                                         weight(2, false, delta, top)};
+  EXPECT_THROW(backend_->linear_bsgs(x, layer(mixed)), Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, LinearBsgsContract,
+                         ::testing::Values("rns", "big"));
+INSTANTIATE_TEST_SUITE_P(Backends, LinearBsgsRns, ::testing::Values("rns"));
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendProperty,
                          ::testing::Values("rns", "big"));

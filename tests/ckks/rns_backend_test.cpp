@@ -345,7 +345,7 @@ void expect_rotations_decrypt(const RnsBackend& be, const Ciphertext& ct,
   const auto weight = [&](double w) {
     return be.encode(std::vector<double>(n, w), small().scale, ct.level());
   };
-  const Plaintext w0 = weight(1.0), w1 = weight(0.5), w2 = weight(-0.25);
+  const WeightOperand w0 = weight(1.0), w1 = weight(0.5), w2 = weight(-0.25);
   const std::vector<BsgsGroupSpec> groups{{0, {{0, &w0}, {3, &w1}}},
                                           {5, {{3, &w2}}}};
   const Ciphertext fused = be.linear_bsgs(ct, groups);
@@ -385,7 +385,7 @@ TEST(RnsBackendKeyLevels, UseAboveTheKeyLevelThrowsTypedError) {
   const std::vector<int> steps{3, 5};
   EXPECT_EQ(error_code_of([&] { be.rotate_sum(cts, steps); }),
             ErrorCode::kLevelMismatch);
-  const Plaintext w =
+  const WeightOperand w =
       be.encode(std::vector<double>(n, 1.0), small().scale, ct.level());
   const std::vector<BsgsGroupSpec> groups{{5, {{3, &w}}}};
   EXPECT_EQ(error_code_of([&] { be.linear_bsgs(ct, groups); }),

@@ -1,10 +1,10 @@
 // Double-hoisted BSGS (DESIGN.md §14): the fused linear_bsgs path must
-// produce the same logits as the legacy per-rotation schedule, and the
-// kKswInner / kModDown counters must match the rotation plan exactly — one
-// digit decomposition per unique operand, ONE mod-down per giant group plus
-// the layer epilogue. The counter test is the fusion regression gate: a
-// refactor that silently falls back to per-rotation key switching changes
-// the counts even if the logits stay correct.
+// produce the same logits as the no-hoist schedule (UnhoistedRnsBackend),
+// and the kKswInner / kModDown counters must match the rotation plan
+// exactly — one digit decomposition per unique operand, ONE mod-down per
+// giant group plus the layer epilogue. The counter test is the fusion
+// regression gate: a refactor that silently falls back to per-rotation key
+// switching changes the counts even if the logits stay correct.
 
 #include <gtest/gtest.h>
 
@@ -108,25 +108,26 @@ TEST(RotationPlanTest, EmptyDiagonalSetIsFree) {
 }
 
 TEST(BsgsFusion, FusedMatchesUnfusedLogits) {
-  RnsBackend backend(tiny_params());
+  RnsBackend hoisted(tiny_params());
+  UnhoistedRnsBackend unhoisted(tiny_params());
   const ModelSpec spec = dense_spec(17);
   const auto img = random_image(24, 5);
   std::vector<double> reference;
   for (const bool fused : {false, true}) {
     HeModelOptions options;
     options.encrypted_weights = false;
-    options.hoist_fusion = fused;
-    const HeModel model(backend, spec, options);
+    const HeModel model(fused ? static_cast<HeBackend&>(hoisted) : unhoisted,
+                        spec, options);
     const InferenceResult result = model.infer(img);
     ASSERT_FALSE(result.degraded);
     if (!fused) {
       reference = result.logits;
       continue;
     }
-    // The fused plan must actually engage on every linear stage.
+    // The fused plan must engage on every linear stage, and only there.
     for (const auto& cost : model.cost_report()) {
       if (cost.name.rfind("linear", 0) == 0) {
-        EXPECT_TRUE(cost.fused) << cost.name;
+        EXPECT_EQ(cost.fused, fused) << cost.name;
       }
     }
     ASSERT_EQ(result.logits.size(), reference.size());
@@ -185,12 +186,28 @@ TEST(BsgsFusion, EncryptedWeightsFallBackToGenericPath) {
   HeModelOptions options;
   options.encrypted_weights = true;
   const HeModel model(backend, spec, options);
-  for (const auto& cost : model.cost_report()) {
+
+  // The generic schedule on RNS: one inner product per rotation, babies
+  // paying a mod-down each and the giants of a group table sharing one
+  // rotate_sum epilogue (cost_report's moddowns). With ct x ct products
+  // every relinearization key-switches: each giant accumulator, the layer
+  // sum (the dense diagonal set keeps a giant-0 group) and, in a degree-d
+  // activation, the d-1 power products plus the weighted sum.
+  const auto report = model.cost_report();
+  ASSERT_EQ(report.size(), spec.stages.size());
+  std::size_t want_inner = 0, want_moddown = 0;
+  for (const auto& cost : report) {
     EXPECT_FALSE(cost.fused) << cost.name;
+    want_inner += cost.rotations + cost.relins;
+    want_moddown += cost.moddowns + cost.relins;
   }
-  const InferenceResult result = model.infer(random_image(24, 3));
-  ASSERT_FALSE(result.degraded);
-  EXPECT_EQ(result.logits.size(), 16u);
+
+  const auto inputs = model.encrypt_input(random_image(24, 3));
+  backend.reset_op_counts();
+  const Ciphertext out = model.eval(inputs);
+  EXPECT_EQ(backend.op_count(OpKind::kKswInner), want_inner);
+  EXPECT_EQ(backend.op_count(OpKind::kModDown), want_moddown);
+  EXPECT_EQ(model.decrypt_logits(out).size(), 16u);
 }
 
 }  // namespace
