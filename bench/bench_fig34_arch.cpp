@@ -1,7 +1,8 @@
 // Reproduces Figs. 3 and 4 (the CNN1 and CNN2 architectures): prints each
 // network layer by layer together with its homomorphic compilation cost —
-// tile size, diagonal count, rotations, relinearizations, and the level each
-// stage starts at. This is the textual rendering of the block diagrams.
+// tile size, diagonal count, rotations (hybrid-diagonal folds among them),
+// relinearizations, and the level each stage starts at. This is the textual
+// rendering of the block diagrams.
 
 #include <cmath>
 
@@ -25,12 +26,13 @@ void report(Experiment& exp, Arch arch) {
   HeModelOptions options;
   options.encrypted_weights = false;  // structure only; faster to compile
   const HeModel he(*backend, spec, options);
-  TextTable table({"stage", "tile", "diagonals", "rotations", "relins",
-                   "level in", "scale in (log2)"});
+  TextTable table({"stage", "tile", "diagonals", "rotations", "folds",
+                   "relins", "level in", "scale in (log2)"});
   for (const auto& cost : he.cost_report()) {
     table.add_row({cost.name, std::to_string(cost.tile),
                    std::to_string(cost.diagonals),
-                   std::to_string(cost.rotations), std::to_string(cost.relins),
+                   std::to_string(cost.rotations), std::to_string(cost.folds),
+                   std::to_string(cost.relins),
                    std::to_string(cost.level_in),
                    TextTable::fixed(std::log2(cost.scale_in), 1)});
   }

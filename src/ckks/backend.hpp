@@ -170,6 +170,9 @@ struct GaloisKeyRequest {
 struct GaloisKeyStats {
   std::size_t keys = 0;
   std::uint64_t bytes = 0;
+  /// Keys generated over the backend's lifetime, rebuilds at a higher level
+  /// included: `built - keys` keys were generated more than once.
+  std::size_t built = 0;
 };
 
 /// Abstract CKKS evaluator: the primitives of §II of the paper (KeyGen at

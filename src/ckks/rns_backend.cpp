@@ -368,12 +368,16 @@ RnsBackend::KswDigits RnsBackend::ksw_decompose(const RnsPoly& d,
   // One digit per prime (the RNS gadget of Cheon et al. [9] / SEAL): digit j
   // is the residue of d mod q_j, lifted to every channel (q primes plus the
   // special prime p) and NTT'd. Digit rows over channels are the parallel
-  // units.
+  // units. The lift is centered: a residue above q_j/2 stands for residue -
+  // q_j. Uncentered digits have mean q_j/2, and that mean times the key error
+  // is a ciphertext-independent term on the slots whose roots lie nearest 1
+  // (DESIGN.md §14).
   trace::Span span("ksw_decompose", "kernel");
   span.attr("digits", static_cast<double>(q_channels));
   const std::size_t channels = out.channels;
   for (std::size_t j = 0; j < q_channels; ++j) {
     const auto digit = d.ch(j);
+    const std::uint64_t q_j = q_moduli_[j].value();
     ThreadPool::global().parallel_for(channels, [&](std::size_t c) {
       const bool is_special = c == channels - 1;
       const Modulus& mod = is_special ? special_ : q_moduli_[c];
@@ -382,7 +386,14 @@ RnsBackend::KswDigits RnsBackend::ksw_decompose(const RnsPoly& d,
       if (!is_special && c == j) {
         std::memcpy(lift.data(), digit.data(), n * sizeof(std::uint64_t));
       } else {
-        for (std::size_t i = 0; i < n; ++i) lift[i] = mod.reduce(digit[i]);
+        // x - q_j = x + (p_c - q_j mod p_c) mod p_c: one reduction per
+        // element, as for the uncentered lift, and a select, not a branch.
+        const std::uint64_t half = q_j / 2;
+        const std::uint64_t minus_q_j = mod.value() - mod.reduce(q_j);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t x = digit[i];
+          lift[i] = mod.reduce(x > half ? x + minus_q_j : x);
+        }
       }
       ntt.forward(lift);
     });
@@ -1387,6 +1398,7 @@ void RnsBackend::ensure_galois_keys(std::span<const GaloisKeyRequest> keys) {
                                      make_ksw_key(s_g, level)));
   }
   std::unique_lock<std::shared_mutex> lock(galois_mutex_);
+  galois_keys_built_ += built.size();
   for (auto& [exponent, key] : built) galois_keys_[exponent] = std::move(key);
 }
 
@@ -1394,6 +1406,7 @@ GaloisKeyStats RnsBackend::galois_key_stats() const {
   std::shared_lock<std::shared_mutex> lock(galois_mutex_);
   GaloisKeyStats stats;
   stats.keys = galois_keys_.size();
+  stats.built = galois_keys_built_;
   for (const auto& entry : galois_keys_) {
     const KswKey& key = *entry.second;
     for (std::size_t j = 0; j < key.digits.size(); ++j) {

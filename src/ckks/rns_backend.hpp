@@ -274,6 +274,7 @@ class RnsBackend : public HeBackend {
   KswKey relin_key_;
   // By automorphism exponent.
   std::map<std::uint64_t, std::shared_ptr<const KswKey>> galois_keys_;
+  std::size_t galois_keys_built_ = 0;  // under galois_mutex_
   mutable std::shared_mutex galois_mutex_;
   std::mutex galois_build_mutex_;
 };

@@ -42,6 +42,16 @@ std::size_t model_tile(const ModelSpec& spec) {
   return tile;
 }
 
+/// Fold steps of a hybrid-diagonal stage with output period `period`:
+/// tile/2, tile/4, ..., period (none when period == tile).
+std::vector<std::size_t> fold_steps(std::size_t tile, std::size_t period) {
+  std::vector<std::size_t> steps;
+  for (std::size_t f = tile / 2; f >= period; f /= 2) {
+    steps.push_back(f);
+  }
+  return steps;
+}
+
 /// Applies any armed eval.input fault to `ct` in place: a limb bit flip on a
 /// deep-copied slab (clone_mutate_limbs, so the caller's ciphertext is never
 /// touched) and/or a perturbation of the handle's mirrored scale/level.
@@ -145,7 +155,11 @@ void HeModel::validate_batch(const HeBackend& backend, const ModelSpec& spec,
 
 HeModel::HeModel(HeBackend& backend, const ModelSpec& spec,
                  HeModelOptions options)
-    : backend_(backend), spec_(spec), options_(options) {
+    : HeModel(backend, spec, std::move(options), true) {}
+
+HeModel::HeModel(HeBackend& backend, const ModelSpec& spec,
+                 HeModelOptions options, bool compile)
+    : backend_(backend), spec_(spec), options_(options), compile_(compile) {
   PPHE_CHECK(options_.rns_branches >= 1, "need at least one branch");
   PPHE_CHECK(options_.pixel_levels >= 2, "invalid pixel quantization");
   if (!options_.weight_cache) {
@@ -171,6 +185,11 @@ HeModel::HeModel(HeBackend& backend, const ModelSpec& spec,
   }
 }
 
+std::vector<GaloisKeyRequest> HeModel::plan_galois_keys(
+    HeBackend& backend, const ModelSpec& spec, HeModelOptions options) {
+  return HeModel(backend, spec, std::move(options), false).galois_keys_;
+}
+
 // ---------------------------------------------------------------------------
 // Planning
 // ---------------------------------------------------------------------------
@@ -194,6 +213,7 @@ void HeModel::simulate_rescale(int& level, double& scale) const {
 
 WeightOperand HeModel::make_weight(const std::vector<double>& values,
                                    double scale, int level) const {
+  if (!compile_) return WeightOperand{};
   const auto make = [&]() -> WeightOperand {
     const Plaintext pt = backend_.encode(values, scale, level);
     if (options_.encrypted_weights) return backend_.encrypt(pt);
@@ -295,19 +315,23 @@ void HeModel::plan() {
       lp.tile = tile;
       lp.level_in = level;
       lp.scale_in = scale;
-
-      // Collect nonzero diagonals i: diag_i[row] = W[row, (row+i) mod tile].
+      // Hybrid diagonals (DESIGN.md §4): the output period m divides the
+      // tile, and extended diagonal i holds d_i[t] = W[t mod m, (t+i) mod
+      // tile], so weight (row, col) lands on diagonal (col - row) mod m.
+      const std::size_t period = std::min(tile, next_pow2(lin.out_dim));
+      lp.period = period;
+      const std::vector<std::size_t> folds = fold_steps(tile, period);
       std::set<std::size_t> diag_set;
       for (std::size_t row = 0; row < lin.out_dim; ++row) {
         for (std::size_t col = 0; col < lin.in_dim; ++col) {
           if (lin.at(row, col) != 0.0f) {
-            diag_set.insert((col + tile - row % tile) % tile);
+            diag_set.insert((col + tile - row) % period);
           }
         }
       }
 
       const RotationPlan rp = RotationPlan::choose(
-          diag_set, tile, static_cast<std::size_t>(level) + 1, log_degree,
+          diag_set, period, static_cast<std::size_t>(level) + 1, log_degree,
           fuse_stages);
       lp.giant = rp.giant;
       lp.fused = rp.fused;
@@ -337,12 +361,13 @@ void HeModel::plan() {
           const std::size_t j = i / g;
           const std::size_t b = i % g;
           // Pre-rotated diagonal: value at slot t is W[row, col] with
-          // row = (t - g*j) mod tile, col = (row + i) mod tile.
+          // t' = (t - g*j) mod tile, row = t' mod m, col = (t' + i) mod tile.
           std::fill(diag.begin(), diag.end(), 0.0);
           bool any = false;
           for (std::size_t t = 0; t < tile; ++t) {
-            const std::size_t row = (t + tile - (g * j) % tile) % tile;
-            const std::size_t col = (row + i) % tile;
+            const std::size_t shifted = (t + tile - g * j) % tile;
+            const std::size_t row = shifted % period;
+            const std::size_t col = (shifted + i) % tile;
             if (row < lin.out_dim && col < lin.in_dim) {
               const double v =
                   static_cast<double>(lin.at(row, col)) * factor;
@@ -383,6 +408,7 @@ void HeModel::plan() {
           if (term.baby != 0) use_step(term.baby * rot_mult);
         }
       }
+      for (const std::size_t f : folds) use_step(f * rot_mult);
 
       // Noise propagation through this stage (heuristic upper bound).
       {
@@ -406,6 +432,11 @@ void HeModel::plan() {
             static_cast<double>(2 * giant_groups + 1) *
                 tracker.key_switch(level);
         stage_noise *= static_cast<double>(branches);
+        // Each fold adds the rotated partial sums to themselves: twice the
+        // noise plus the rotation's key switch.
+        for (std::size_t f = 0; f < folds.size(); ++f) {
+          stage_noise = 2.0 * stage_noise + tracker.key_switch(level);
+        }
         noise = stage_noise;
 
         double out_bound = 0.0;
@@ -548,7 +579,7 @@ void HeModel::plan() {
   for (const auto& [step, key_level] : step_levels) {
     galois_keys_.push_back({step, key_level});
   }
-  backend_.ensure_galois_keys(galois_keys_);
+  if (compile_) backend_.ensure_galois_keys(galois_keys_);
 }
 
 // ---------------------------------------------------------------------------
@@ -620,6 +651,13 @@ Ciphertext HeModel::run_linear(
     Ciphertext ym =
         run_linear_single(plan, plan.branch_groups[m], branch_inputs[m]);
     y = y.valid() ? backend_.add(y, ym) : std::move(ym);
+  }
+  // Fold the tile/period partial sums into every period. The folds run on
+  // the product before its rescale, which divides their key-switch noise
+  // by the dropped prime too.
+  for (const std::size_t f : fold_steps(plan.tile, plan.period)) {
+    y = backend_.add(
+        y, backend_.rotate(y, static_cast<int>(f * plan.rot_mult)));
   }
   y = apply_rescale(y);
   PPHE_CHECK(y.level() == plan.level_out, "linear output level mismatch");
@@ -927,6 +965,7 @@ std::vector<HeModel::StageCost> HeModel::cost_report() const {
         }
       }
       cost.rotations = babies.size() + giants;
+      cost.folds = fold_steps(lp.tile, lp.period).size();
       if (!lp.fused) ++cost.relins;  // final deferred relinearization
       cost.giant = lp.giant;
       cost.fused = lp.fused;
@@ -948,6 +987,8 @@ std::vector<HeModel::StageCost> HeModel::cost_report() const {
       cost.relins *= branches;
       cost.giant_groups *= branches;
       cost.moddowns *= branches;
+      cost.rotations += cost.folds;
+      cost.moddowns += cost.folds;
       cost.tile = lp.tile;
       cost.level_in = lp.level_in;
       cost.scale_in = lp.scale_in;

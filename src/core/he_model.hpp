@@ -116,9 +116,11 @@ struct InferenceResult {
 };
 
 /// A ModelSpec compiled onto a CKKS backend:
-///  * every linear stage is packed with the baby-step/giant-step diagonal
-///    method on a power-of-two tile, with one deferred relinearization per
-///    giant-step group;
+///  * every linear stage is packed with the hybrid diagonal method on a
+///    power-of-two tile: m = min(tile, next_pow2(out_dim)) extended
+///    diagonals evaluated baby-step/giant-step, with one deferred
+///    relinearization per giant-step group, then log2(tile/m) rotate-and-add
+///    folds (none for a square stage, m = tile);
 ///  * activations evaluate the per-neuron polynomial (eq. (2)) with exact
 ///    scale matching so additions never need scale adjustment;
 ///  * levels and scales are planned statically, and weights are encoded (or
@@ -178,6 +180,12 @@ class HeModel {
   const std::vector<GaloisKeyRequest>& galois_keys() const {
     return galois_keys_;
   }
+  /// The galois_keys() a model compiled from these arguments would need,
+  /// planned without encoding a weight or building a key (the level retry
+  /// included), so a caller compiling several models on one backend can
+  /// ensure the union of their keys once.
+  static std::vector<GaloisKeyRequest> plan_galois_keys(
+      HeBackend& backend, const ModelSpec& spec, HeModelOptions options);
   /// The steps of galois_keys().
   std::vector<int> rotation_steps() const {
     std::vector<int> steps;
@@ -191,7 +199,11 @@ class HeModel {
   struct StageCost {
     std::string name;
     std::size_t diagonals = 0;
+    /// Rotations: unique baby and giant steps (x branches) plus the folds.
     std::size_t rotations = 0;
+    /// Hybrid-diagonal folds, log2(tile / period): they run once, after the
+    /// branch sum, so they are not multiplied by the branch count.
+    std::size_t folds = 0;
     std::size_t relins = 0;
     std::size_t tile = 0;
     /// Giant-step size the rotation plan chose for this stage.
@@ -200,8 +212,8 @@ class HeModel {
     std::size_t giant_groups = 0;
     /// Planned kModDown count for the stage (x branches): fused = one per
     /// nonzero giant group + the layer epilogue; unfused = one per hoisted
-    /// baby plus the giant epilogue(s). Relinearizations that key-switch
-    /// (encrypted weights) add their own on top.
+    /// baby plus the giant epilogue(s); plus one per fold. Relinearizations
+    /// that key-switch (encrypted weights) add their own on top.
     std::size_t moddowns = 0;
     /// True when the stage runs the double-hoisted linear_bsgs path.
     bool fused = false;
@@ -228,14 +240,19 @@ class HeModel {
  private:
   struct LinearPlan {
     std::size_t in_dim = 0, out_dim = 0, tile = 0, giant = 0;
+    /// Output period m = min(tile, next_pow2(out_dim)): the stage evaluates
+    /// m extended diagonals d_i[t] = W[t mod m, (t+i) mod tile], then folds
+    /// y += rot(y, f) for f = tile/2 ... m, leaving row r in every slot
+    /// t = r mod m. m == tile is the square method, with no folds.
+    std::size_t period = 0;
     std::size_t rot_mult = 1;  // slot stride per logical rotation step
     /// True when the giant size came from the double-hoisted cost model
     /// (plaintext weights on a backend that supports_hoisted_bsgs()); the
     /// backend's linear_bsgs decides at run time whether its fused kernel
     /// takes the operands.
     bool fused = false;
-    // Group j -> baby step b -> pre-rotated weight operand for diagonal
-    // i = giant*j + b (absent diagonals are skipped).
+    // Group j -> baby step b -> pre-rotated weight operand for extended
+    // diagonal i = giant*j + b (absent diagonals are skipped).
     struct Term {
       std::size_t baby = 0;
       WeightOperand weight;
@@ -282,6 +299,11 @@ class HeModel {
     double value_bound = 0.0;
   };
 
+  /// `compile` false plans levels, diagonals and keys only: no weight is
+  /// encoded and no key is built (plan_galois_keys).
+  HeModel(HeBackend& backend, const ModelSpec& spec, HeModelOptions options,
+          bool compile);
+
   // Compilation helpers.
   void plan();
   std::vector<Ciphertext> encrypt_images(
@@ -308,6 +330,7 @@ class HeModel {
   HeBackend& backend_;
   ModelSpec spec_;
   HeModelOptions options_;
+  bool compile_ = true;
   std::vector<StagePlan> stages_;
   std::vector<GaloisKeyRequest> galois_keys_;
   std::size_t input_tile_ = 0;

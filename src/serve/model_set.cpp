@@ -1,6 +1,7 @@
 #include "serve/model_set.hpp"
 
 #include <string>
+#include <vector>
 
 #include "ckks/rns_backend.hpp"
 #include "common/check.hpp"
@@ -31,6 +32,18 @@ BatchModelSet::BatchModelSet(RnsBackend& backend, const ModelSpec& spec,
     }
     max_batch_ *= 2;
   }
+  // Batch sizes rotate by different steps at different levels, and a key
+  // ensured for one size at a low level would be rebuilt for the next size
+  // at a higher one. Plan every size's keys first and ensure their union
+  // once; each member's compile then finds its keys built.
+  std::vector<GaloisKeyRequest> keys;
+  for (std::size_t batch = 1; batch <= max_batch_; batch *= 2) {
+    HeModelOptions options = base_;
+    options.batch = batch;
+    const auto planned = HeModel::plan_galois_keys(backend_, spec_, options);
+    keys.insert(keys.end(), planned.begin(), planned.end());
+  }
+  backend_.ensure_galois_keys(keys);
 }
 
 std::size_t BatchModelSet::input_dim() const {

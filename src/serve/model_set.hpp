@@ -28,6 +28,8 @@ class BatchModelSet {
  public:
   /// `base` is the option template; its `batch` field is overridden per
   /// member and its weight_cache (if null) is replaced by the shared cache.
+  /// Builds every member's Galois keys up front, in one pass: each key once,
+  /// at the highest level any batch size rotates by it.
   BatchModelSet(RnsBackend& backend, const ModelSpec& spec,
                 HeModelOptions base);
 

@@ -147,7 +147,8 @@ TEST(BsgsFusion, OpCountersMatchCostReport) {
   const HeModel model(backend, spec, options);
 
   // Expected counter totals from the plan: linear stages contribute their
-  // cost-report numbers; a degree-d activation relinearizes its d-1 power
+  // cost-report numbers (each hybrid-diagonal fold is one more rotation and
+  // mod-down); a degree-d activation relinearizes its d-1 power
   // products (each one key switch = one inner product + one mod-down; the
   // final accumulator stays size-2 with plaintext weights).
   const auto report = model.cost_report();
@@ -157,7 +158,8 @@ TEST(BsgsFusion, OpCountersMatchCostReport) {
   for (std::size_t s = 0; s < spec.stages.size(); ++s) {
     if (spec.stages[s].kind == ModelSpec::Stage::Kind::kLinear) {
       ASSERT_TRUE(report[s].fused) << report[s].name;
-      EXPECT_EQ(report[s].moddowns, report[s].giant_groups + 1)
+      EXPECT_EQ(report[s].moddowns,
+                report[s].giant_groups + 1 + report[s].folds)
           << report[s].name;
       want_inner += report[s].rotations;
       want_moddown += report[s].moddowns;

@@ -192,8 +192,8 @@ TEST(HeModel, Cnn1EncryptedWeightGaloisKeysAreLevelTrimmed) {
     const auto l = static_cast<std::uint64_t>(key.level);
     want_bytes += 2 * 2 * (l + 1) * (l + 2) * backend.params().degree * 8;
   }
-  EXPECT_EQ(keys_per_level, (std::map<int, std::size_t>{{5, 12}, {9, 66}}));
-  EXPECT_EQ(backend.galois_key_stats().keys, 78u);
+  EXPECT_EQ(keys_per_level, (std::map<int, std::size_t>{{5, 6}, {9, 66}}));
+  EXPECT_EQ(backend.galois_key_stats().keys, 72u);
   EXPECT_EQ(backend.galois_key_stats().bytes, want_bytes);
 }
 

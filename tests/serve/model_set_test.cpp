@@ -96,6 +96,34 @@ TEST(BatchModelSet, MembersShareOneWeightCache) {
   EXPECT_GT(after.misses + after.hits, before.misses + before.hits);
 }
 
+TEST(BatchModelSet, EveryGaloisKeyIsBuiltOnce) {
+  const ModelSpec spec = tiny_spec(21);
+  {
+    // Compiled one size after another, each model ensures its own keys, and
+    // a step that one size rotates by at a lower level than a later size is
+    // built twice: the hazard the model set plans away.
+    RnsBackend backend(tiny_params());
+    for (std::size_t batch = 1; batch <= 64; batch *= 2) {
+      HeModelOptions options = plain_options();
+      options.batch = batch;
+      const HeModel model(backend, spec, options);
+    }
+    EXPECT_GT(backend.galois_key_stats().built,
+              backend.galois_key_stats().keys);
+  }
+  RnsBackend backend(tiny_params());
+  BatchModelSet models(backend, spec, plain_options());
+  const GaloisKeyStats before = backend.galois_key_stats();
+  EXPECT_EQ(before.built, before.keys);
+  for (std::size_t batch = 1; batch <= models.max_batch(); batch *= 2) {
+    models.model_for(batch);
+  }
+  // Compiling every member builds no key: the union was ensured up front.
+  const GaloisKeyStats after = backend.galois_key_stats();
+  EXPECT_EQ(after.built, before.built);
+  EXPECT_EQ(after.keys, before.keys);
+}
+
 TEST(BatchModelSet, OutOfRangeSizesRejectedWithTypedError) {
   for (const std::size_t bad : {std::size_t{0}, std::size_t{65},
                                 std::size_t{1024}}) {
